@@ -15,6 +15,7 @@ import csv
 import hashlib
 import io
 import json
+import os
 import random
 import warnings
 from concurrent.futures import ProcessPoolExecutor
@@ -235,7 +236,8 @@ def run_characterization_campaign(
     """Run the sweeps and return a deterministic JSON-ready report.
 
     input_graphs, when given, is an iterable of graph6 lines studied instead
-    of the enumerated families.  jobs > 1 distributes graphs over processes;
+    of the enumerated families.  jobs > 1 distributes graphs over at most
+    that many processes, capped by the CPU count and the number of graphs;
     the report is identical either way.
     """
     if not 1 <= max_order <= MAX_ENUM_ORDER:
@@ -245,13 +247,16 @@ def run_characterization_campaign(
             f"unknown sweep {sweep_filter!r}; expected all, "
             + ", ".join(SWEEP_NAMES)
         )
+    if jobs < 1:
+        raise InputError("jobs must be at least 1")
     if max_order > 7 and input_graphs is None:
         warnings.warn(LARGE_ORDER_WARNING, stacklevel=2)
 
     graphs = _campaign_graphs(max_order, sweep_filter, input_graphs)
+    workers = min(jobs, os.cpu_count() or 1, len(graphs))
     results: list[tuple[dict, list[dict]]] = []
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(
                 pool.map(
                     _study_args,

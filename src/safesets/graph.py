@@ -49,7 +49,7 @@ def iter_bits(mask: int) -> Iterator[int]:
 
 
 def popcount(mask: int) -> int:
-    return bin(mask).count("1")
+    return mask.bit_count()
 
 
 @dataclass(frozen=True)
@@ -158,9 +158,12 @@ class Graph:
 
 def neighborhood_mask(g: Graph, mask: int) -> int:
     """Union of the neighbor masks of every vertex in ``mask`` (may overlap mask)."""
+    adj = g.adj
     out = 0
-    for v in iter_bits(mask):
-        out |= g.adj[v]
+    while mask:
+        low = mask & -mask
+        out |= adj[low.bit_length() - 1]
+        mask ^= low
     return out
 
 
@@ -171,17 +174,18 @@ def components(g: Graph, mask: int) -> list[int]:
     list is empty exactly when ``mask`` is empty.
     """
     _check_mask(g, mask)
+    adj = g.adj
     comps = []
     rest = mask
     while rest:
-        seed = rest & -rest
-        comp = seed
-        frontier = seed
+        comp = frontier = rest & -rest
         while frontier:
             grown = 0
-            for v in iter_bits(frontier):
-                grown |= g.adj[v]
-            frontier = grown & mask & ~comp
+            while frontier:
+                low = frontier & -frontier
+                grown |= adj[low.bit_length() - 1]
+                frontier ^= low
+            frontier = grown & rest & ~comp
             comp |= frontier
         comps.append(comp)
         rest &= ~comp

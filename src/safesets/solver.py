@@ -2,13 +2,28 @@
 
 A nonempty S <= V(G) is safe when every component C of G[S] outweighs every
 component D of G - S it touches (w(C) >= w(D)).  The solver scans all subsets
-in increasing popcount order with an incumbent weight bound, entirely in
-scaled integer arithmetic, and reports exact rational optima:
+in increasing popcount order (lexicographic within a size) against an
+incumbent weight bound, entirely in scaled integer arithmetic, and reports
+exact rational optima:
 
   * safe_number: lightest safe set (the whole vertex set is vacuously safe);
   * connected_safe_number: lightest safe set inducing a connected subgraph.
 
-The scan is exponential by design; orders above 24 are refused outright.
+Each mask has one record: the touching (C, D) component-mask pairs,
+flattened to (C0, D0, C1, D1, ...), and whether G[mask] is connected.
+
+  * Up to order 12 the records of every mask, in scan order, form a per-graph
+    plan that is cached across solves (weight sampling and the alpha ladder
+    solve one graph many times).  Each solve fills a subset-sum table
+    ws[m] = ws[m ^ top] + w[top] (top: the highest bit of m) once, in 2^n
+    steps, so the bound and every safety test are table lookups.
+  * Above order 12 a plan of 2^n records would dominate peak memory, so the
+    scan builds each record on demand with the same helper and sums a pair's
+    weights over its bits.
+
+Both paths stop a mask's safety test at the first failing pair and share
+the acceptance logic.  The scan is exponential by design; orders above 24 are
+refused outright.
 """
 
 from __future__ import annotations
@@ -16,8 +31,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
-from typing import Sequence
+from itertools import chain, combinations
+from typing import Callable, Iterator, Sequence
 
 from .graph import (
     Graph,
@@ -30,7 +45,10 @@ from .graph import (
 from .weights import WeightFn, make_weights, scaled_integers
 
 MAX_SOLVER_ORDER = 24
-_STRUCT_CACHE_MAX_ORDER = 12
+_PLAN_MAX_ORDER = 12
+
+Record = tuple[tuple[int, ...], bool]
+Accept = Callable[[int, int, bool], int]
 
 
 @dataclass(frozen=True)
@@ -55,28 +73,85 @@ def _check_instance(g: Graph, w: Sequence) -> WeightFn:
     return make_weights(w, g.n)
 
 
-def _mask_structure(g: Graph, mask: int):
-    """Component layout of (G[mask], G - mask) and which pairs touch."""
-    full = g.full_mask
+def _record(g: Graph, mask: int) -> Record:
+    """The touching (C, D) pairs of (G[mask], G - mask), flattened, and
+    whether G[mask] is connected."""
     comps_in = components(g, mask)
-    comps_out = components(g, full ^ mask)
-    pairs = []
-    for ci, c in enumerate(comps_in):
+    comps_out = components(g, g.full_mask ^ mask)
+    pairs: list[int] = []
+    for c in comps_in:
         reach = neighborhood_mask(g, c)
-        for oj, d in enumerate(comps_out):
+        for d in comps_out:
             if reach & d:
-                pairs.append((ci, oj))
-    return comps_in, comps_out, pairs
+                pairs += (c, d)
+    return tuple(pairs), len(comps_in) == 1
+
+
+def _holds(pairs: tuple[int, ...], weigh: Callable[[int], int]) -> bool:
+    """True when every C of a flattened record weighs at least its D."""
+    it = iter(pairs)
+    return all(weigh(c) >= weigh(d) for c, d in zip(it, it))
+
+
+def _subsets(n: int) -> Iterator[tuple[int, ...]]:
+    """Nonempty subsets of range(n) by size, then lexicographically."""
+    return chain.from_iterable(combinations(range(n), k) for k in range(1, n + 1))
 
 
 @lru_cache(maxsize=64)
-def _all_structures(g: Graph):
-    """Every mask's structure, for graphs small enough to afford the table.
+def _plan(g: Graph) -> tuple[tuple[int, tuple[int, ...], bool], ...]:
+    """Every mask of a graph of order <= 12 with its record, in scan order."""
+    bits = [1 << v for v in range(g.n)]
+    masks = (sum(map(bits.__getitem__, combo)) for combo in _subsets(g.n))
+    return tuple((mask, *_record(g, mask)) for mask in masks)
 
-    Repeated solves over the same graph (weight sampling) then only pay for
-    weight sums and comparisons.
-    """
-    return [None] + [_mask_structure(g, m) for m in range(1, 1 << g.n)]
+
+def _scan_plan(g: Graph, ints: list[int], accept: Accept) -> None:
+    """Scan the cached plan, weighing every set by subset-sum lookups."""
+    ws = [0]
+    for x in ints:
+        ws += [s + x for s in ws]
+    bound = ws[-1]
+    for mask, pairs, connected in _plan(g):
+        weight = ws[mask]
+        if weight > bound:
+            continue
+        # _holds inlined: a call per mask made this hot loop about 4x slower
+        it = iter(pairs)
+        for c in it:
+            if ws[c] < ws[next(it)]:
+                break
+        else:
+            bound = accept(mask, weight, connected)
+
+
+def _bit_summer(ints: list[int]) -> Callable[[int], int]:
+    """Weight of a mask, summed over its bits."""
+
+    def weigh(mask: int) -> int:
+        total = 0
+        while mask:
+            low = mask & -mask
+            total += ints[low.bit_length() - 1]
+            mask ^= low
+        return total
+
+    return weigh
+
+
+def _scan_lazy(g: Graph, ints: list[int], accept: Accept) -> None:
+    """Scan without a plan, building the record of each mask within bound."""
+    bits = [1 << v for v in range(g.n)]
+    weigh = _bit_summer(ints)
+    bound = sum(ints)
+    for combo in _subsets(g.n):
+        weight = sum(map(ints.__getitem__, combo))
+        if weight > bound:
+            continue
+        mask = sum(map(bits.__getitem__, combo))
+        pairs, connected = _record(g, mask)
+        if _holds(pairs, weigh):
+            bound = accept(mask, weight, connected)
 
 
 def is_safe_set(g: Graph, w: Sequence, s: int) -> bool:
@@ -87,10 +162,8 @@ def is_safe_set(g: Graph, w: Sequence, s: int) -> bool:
     if s & ~g.full_mask:
         raise InputError("safe set candidate out of range")
     ints, _ = scaled_integers(weights)
-    comps_in, comps_out, pairs = _mask_structure(g, s)
-    win = [sum(ints[v] for v in vlist(c)) for c in comps_in]
-    wout = [sum(ints[v] for v in vlist(d)) for d in comps_out]
-    return all(win[ci] >= wout[oj] for ci, oj in pairs)
+    pairs, _ = _record(g, s)
+    return _holds(pairs, _bit_summer(ints))
 
 
 def solve_pair(
@@ -104,46 +177,27 @@ def solve_pair(
     """
     weights = _check_instance(g, w)
     ints, denom = scaled_integers(weights)
-    n = g.n
-
-    structures = None
-    if n <= _STRUCT_CACHE_MAX_ORDER:
-        structures = _all_structures(g)
-
-    s_best: int | None = None
-    cs_best: int | None = None
+    # V(G) is safe and connected, so the total weight bounds both optima.
+    s_best = cs_best = sum(ints)
     s_optima: list[int] = []
     cs_optima: list[int] = []
 
-    for k in range(1, n + 1):
-        for combo in combinations(range(n), k):
-            weight = 0
-            mask = 0
-            for v in combo:
-                weight += ints[v]
-                mask |= 1 << v
-            if cs_best is not None and weight > cs_best:
-                continue
-            if structures is not None:
-                comps_in, comps_out, pairs = structures[mask]
-            else:
-                comps_in, comps_out, pairs = _mask_structure(g, mask)
-            if pairs:
-                win = [sum(ints[v] for v in vlist(c)) for c in comps_in]
-                wout = [sum(ints[v] for v in vlist(d)) for d in comps_out]
-                if any(win[ci] < wout[oj] for ci, oj in pairs):
-                    continue
-            if s_best is None or weight < s_best:
-                s_best, s_optima = weight, [mask]
-            elif weight == s_best:
-                s_optima.append(mask)
-            if len(comps_in) == 1:
-                if cs_best is None or weight < cs_best:
-                    cs_best, cs_optima = weight, [mask]
-                elif weight == cs_best:
-                    cs_optima.append(mask)
+    def accept(mask: int, weight: int, connected: bool) -> int:
+        """Record a safe mask within the bound; return the new bound."""
+        nonlocal s_best, s_optima, cs_best, cs_optima
+        if weight < s_best:
+            s_best, s_optima = weight, [mask]
+        elif weight == s_best:
+            s_optima.append(mask)
+        if connected:
+            if weight < cs_best:
+                cs_best, cs_optima = weight, [mask]
+            elif weight == cs_best:
+                cs_optima.append(mask)
+        return cs_best
 
-    assert s_best is not None and cs_best is not None  # V(G) is always safe
+    scan = _scan_plan if g.n <= _PLAN_MAX_ORDER else _scan_lazy
+    scan(g, ints, accept)
 
     def finish(best: int, optima: list[int], connected: bool) -> SafeSetSolution:
         ordered = sorted(optima, key=vlist)

@@ -1,11 +1,14 @@
 """Weight functions: nonnegative rationals indexed by vertex id.
 
 Weights cross process boundaries as strings ("5" or "5/2") inside JSON; in
-memory they are tuples of fractions.Fraction.
+memory they are tuples of fractions.Fraction.  Only Fraction, int and those
+two string forms are accepted: floats, booleans, decimal strings and
+anything else are rejected, so no inexact value enters the exact solver.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import lcm
 from typing import Iterable, Sequence
@@ -14,19 +17,28 @@ from .graph import InputError
 
 WeightFn = tuple[Fraction, ...]
 
+_RATIONAL = re.compile(r"\s*[+-]?\d+(?:/\d+)?\s*", re.ASCII)
 
-def parse_rational(text: str | int) -> Fraction:
-    """Parse "p" or "p/q" (or a plain int) into a Fraction."""
-    if isinstance(text, bool):
+
+def parse_rational(value: Fraction | int | str) -> Fraction:
+    """Turn a Fraction, an int or a "p" / "p/q" string into a Fraction."""
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, bool):
         raise InputError("weights must be rationals, not booleans")
-    if isinstance(text, int):
-        return Fraction(text)
-    if not isinstance(text, str):
-        raise InputError(f"cannot parse rational from {type(text).__name__}")
+    if isinstance(value, int):
+        return Fraction(value)
+    if not isinstance(value, str):
+        raise InputError(
+            f"cannot parse rational from {type(value).__name__}; "
+            'give an integer or a "p/q" string'
+        )
+    if not _RATIONAL.fullmatch(value):
+        raise InputError(f'malformed rational {value!r}: expected "p" or "p/q"')
     try:
-        return Fraction(text.strip())
-    except (ValueError, ZeroDivisionError) as exc:
-        raise InputError(f"malformed rational {text!r}: {exc}") from exc
+        return Fraction(value.strip())
+    except ZeroDivisionError as exc:
+        raise InputError(f"malformed rational {value!r}: {exc}") from exc
 
 
 def format_rational(value: Fraction) -> str:
@@ -35,7 +47,7 @@ def format_rational(value: Fraction) -> str:
 
 def make_weights(values: Iterable[Fraction | int | str], n: int | None = None) -> WeightFn:
     """Normalize raw weight values, enforcing nonnegativity (and length if given)."""
-    out = tuple(parse_rational(v) if isinstance(v, str) else Fraction(v) for v in values)
+    out = tuple(map(parse_rational, values))
     if n is not None and len(out) != n:
         raise InputError(f"expected {n} weights, got {len(out)}")
     for i, w in enumerate(out):
@@ -55,10 +67,6 @@ def parse_weights_json(obj: object, n: int | None = None) -> WeightFn:
     return make_weights(obj, n)
 
 
-def weights_to_json(w: Sequence[Fraction]) -> dict:
-    return {"weights": [format_rational(x) for x in w]}
-
-
 def scaled_integers(w: Sequence[Fraction]) -> tuple[list[int], int]:
     """Clear denominators: returns (integer weights, common denominator).
 
@@ -66,4 +74,4 @@ def scaled_integers(w: Sequence[Fraction]) -> tuple[list[int], int]:
     working in integers is exact and much faster than summing fractions.
     """
     denom = lcm(*(x.denominator for x in w)) if w else 1
-    return [int(x * denom) for x in w], denom
+    return [x.numerator * (denom // x.denominator) for x in w], denom

@@ -118,6 +118,45 @@ class TestCampaignRuns:
         with pytest.raises(InputError):
             run_characterization_campaign(sweep_filter="planar")
 
+    def test_jobs_below_one_rejected(self):
+        with pytest.raises(InputError, match="jobs"):
+            run_characterization_campaign(max_order=3, jobs=0)
+
+    @pytest.mark.parametrize("jobs, cpus, graphs, workers", [
+        (64, 4, 3, 3),     # capped by the number of graphs
+        (64, 2, 3, 2),     # capped by the CPU count
+        (2, None, 3, 1),   # unknown CPU count: no pool
+        (64, 4, 1, 1),     # a single graph: no pool
+    ])
+    def test_pool_size_clamped(self, monkeypatch, jobs, cpus, graphs, workers):
+        import safesets.campaign as campaign_module
+
+        started = []
+
+        class RecordingPool:
+            """Stands in for the process pool and runs the map in-process."""
+
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize=1):
+                return map(fn, items)
+
+        monkeypatch.setattr(campaign_module, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(campaign_module.os, "cpu_count", lambda: cpus)
+        lines = ["Cl", "DhC", to_graph6(Graph.cycle(6))][:graphs]
+        kwargs = dict(samples_per_member=2, seed=0, input_graphs=lines)
+        report = run_characterization_campaign(**kwargs, jobs=jobs)
+        assert started == ([workers] if workers > 1 else [])
+        serial = run_characterization_campaign(**kwargs, jobs=1)
+        assert report_to_json(report) == report_to_json(serial)
+
     def test_large_order_warns(self, monkeypatch):
         import safesets.campaign as campaign_module
         monkeypatch.setattr(campaign_module, "enumerate_connected_graphs",

@@ -72,6 +72,15 @@ class TestSolve:
         assert code == 2
         assert "line 1" in err
 
+    @pytest.mark.parametrize("bad", ["0.1", "true", "null", "{}"])
+    def test_inexact_or_malformed_weight(self, capsys, bad):
+        code, out, err = run(capsys, "solve", "--graph6", "Cl",
+                             "--weights", f"[{bad}, 1, 1, 1]")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "Traceback" not in err
+
 
 class TestRecognize:
     def test_k33_minus_edge(self, capsys):
@@ -187,6 +196,12 @@ class TestCampaign:
         code, _, err = run(capsys, "campaign", "--max-order", "99")
         assert code == 2
         assert "between 1 and 8" in err
+
+    def test_zero_jobs(self, capsys):
+        code, _, err = run(capsys, "campaign", "--max-order", "3",
+                           "--jobs", "0")
+        assert code == 2
+        assert "jobs must be at least 1" in err
 
 
 class TestArgparseErrors:

@@ -127,6 +127,26 @@ class TestProperties:
         assert [tuple(vlist(m)) for m in sol.all_optima] == list(minima)
         assert [tuple(vlist(m)) for m in csol.all_optima] == list(minima_c)
 
+    # Order 12 is the last solved from the cached per-graph plan and order
+    # 13 the first scanned lazily; both must agree with the oracle.
+    @pytest.mark.parametrize("order", [12, 13])
+    @settings(max_examples=3)
+    @given(data=st.data())
+    def test_matches_oracle_across_plan_cut(self, order, data):
+        g = data.draw(connected_graphs(min_order=order, max_order=order))
+        w = data.draw(weight_lists(g.n))
+        sol, csol = solve_pair(g, w, collect_all=True)
+        best, best_c, minima, minima_c = oracles.solve(g.n, g.edges(), w)
+        assert sol.optimum == best
+        assert csol.optimum == best_c
+        assert [tuple(vlist(m)) for m in sol.all_optima] == list(minima)
+        assert [tuple(vlist(m)) for m in csol.all_optima] == list(minima_c)
+        masks = data.draw(st.lists(st.integers(1, g.full_mask), min_size=20,
+                                   max_size=20))
+        for m in masks:
+            assert is_safe_set(g, w, m) == oracles.is_safe(
+                g.n, g.edges(), w, vlist(m))
+
     @given(connected_graphs(max_order=7), st.data())
     def test_connected_dominates(self, g, data):
         w = data.draw(weight_lists(g.n))
