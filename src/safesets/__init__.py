@@ -7,7 +7,6 @@ from .contraction import (
     PatternMatch,
     QuotientGraph,
     beta,
-    contractible_to_k2d_at,
     find_pattern,
     lift_weights,
     pattern_graph,
@@ -72,7 +71,6 @@ __all__ = [
     "classify_chordal",
     "components",
     "connected_safe_number",
-    "contractible_to_k2d_at",
     "default_params",
     "enumerate_connected_graphs",
     "find_pattern",

@@ -22,7 +22,12 @@ from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 from .contraction import beta
-from .enumerate import MAX_ENUM_ORDER, enumerate_connected_graphs
+from .enumerate import (
+    FILTER_NAMES,
+    MAX_ENUM_ORDER,
+    SWEEP_FILTERS,
+    enumerate_connected_graphs,
+)
 from .family import (
     MEMBER,
     NON_MEMBER,
@@ -33,13 +38,10 @@ from .family import (
 )
 from .graph import (
     InputError,
-    bipartition,
     components,
     diameter,
-    is_chordal,
     is_connected,
     is_cycle_graph,
-    is_triangle_free,
     vlist,
 )
 from .graph6 import parse_graph6, to_graph6
@@ -47,7 +49,7 @@ from .solver import all_minimum_safe_sets, solve_pair
 from .weights import format_rational
 from .witness import certify_non_membership, verify_certificate
 
-SWEEP_NAMES = ("bipartite", "chordal", "triangle-free")
+SWEEP_NAMES = tuple(SWEEP_FILTERS)
 REPORT_SCHEMA_VERSION = 1
 LARGE_ORDER_WARNING = (
     "orders above 7 enumerate tens of thousands of graphs; expect a long run"
@@ -74,7 +76,7 @@ def study_graph(graph6: str, samples: int, master_seed: int) -> tuple[dict, list
     if not is_connected(g):
         raise InputError("campaign graphs must be connected")
     failures: list[dict] = []
-    sweeps = [name for name in SWEEP_NAMES if _in_sweep(g, name)]
+    sweeps = [name for name, keep in SWEEP_FILTERS.items() if keep(g)]
     cls = classify(g)
     record: dict = {
         "graph6": graph6,
@@ -120,14 +122,6 @@ def study_graph(graph6: str, samples: int, master_seed: int) -> tuple[dict, list
         _certify(g, graph6, cls.verdict, sweeps, seed_g, record, failures)
 
     return record, failures
-
-
-def _in_sweep(g, name: str) -> bool:
-    if name == "bipartite":
-        return bipartition(g) is not None
-    if name == "chordal":
-        return is_chordal(g)[0]
-    return is_triangle_free(g)
 
 
 def _sample_member(g, graph6, samples, seed, failures) -> dict:
@@ -220,7 +214,7 @@ def _campaign_graphs(max_order: int, sweep_filter: str, input_graphs) -> list[st
     out = []
     for order in range(1, max_order + 1):
         for g in enumerate_connected_graphs(order):
-            if any(_in_sweep(g, name) for name in names):
+            if any(SWEEP_FILTERS[name](g) for name in names):
                 out.append(to_graph6(g))
     return out
 
@@ -242,10 +236,9 @@ def run_characterization_campaign(
     """
     if not 1 <= max_order <= MAX_ENUM_ORDER:
         raise InputError(f"max order must be between 1 and {MAX_ENUM_ORDER}")
-    if sweep_filter != "all" and sweep_filter not in SWEEP_NAMES:
+    if sweep_filter not in FILTER_NAMES:
         raise InputError(
-            f"unknown sweep {sweep_filter!r}; expected all, "
-            + ", ".join(SWEEP_NAMES)
+            f"unknown sweep {sweep_filter!r}; expected " + ", ".join(FILTER_NAMES)
         )
     if jobs < 1:
         raise InputError("jobs must be at least 1")

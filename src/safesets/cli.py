@@ -12,20 +12,31 @@ import argparse
 import json
 import sys
 import time
-from fractions import Fraction
 
 from .campaign import (
     run_characterization_campaign,
     report_to_csv,
     report_to_json,
 )
-from .contraction import beta, quotient_of_partition
+from .contraction import beta, lift_weights, quotient_of_partition
+from .enumerate import FILTER_NAMES
 from .family import classify
-from .graph import InputError, iter_bits, vlist, vset
+from .graph import InputError, vlist, vset
 from .graph6 import parse_graph6, to_graph6
 from .solver import solve_pair
 from .weights import format_rational, parse_weights_json
 from .witness import certify_non_membership, verify_certificate
+
+
+def _read_text(path: str) -> str:
+    """The contents of a file, or of stdin when path is -."""
+    if path == "-":
+        return sys.stdin.read()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise InputError(f"cannot read {path}: {exc}") from exc
 
 
 def _read_json_arg(inline: str | None, path: str | None, what: str):
@@ -34,15 +45,7 @@ def _read_json_arg(inline: str | None, path: str | None, what: str):
     if inline is not None:
         text, source = inline, f"inline {what}"
     elif path is not None:
-        if path == "-":
-            text, source = sys.stdin.read(), "stdin"
-        else:
-            try:
-                with open(path, encoding="utf-8") as fh:
-                    text = fh.read()
-            except OSError as exc:
-                raise InputError(f"cannot read {path}: {exc}") from exc
-            source = path
+        text, source = _read_text(path), "stdin" if path == "-" else path
     else:
         raise InputError(f"missing {what}")
     try:
@@ -132,10 +135,7 @@ def _cmd_contract(args) -> int:
     else:
         raise InputError("contraction request needs an 's' or a 'bags' field")
     if weights is not None:
-        out["liftedWeights"] = [
-            format_rational(sum((weights[v] for v in iter_bits(b)), Fraction(0)))
-            for b in bags
-        ]
+        out["liftedWeights"] = [format_rational(x) for x in lift_weights(bags, weights)]
     _print_json(out)
     return 0
 
@@ -143,14 +143,7 @@ def _cmd_contract(args) -> int:
 def _cmd_campaign(args) -> int:
     input_graphs = None
     if args.input is not None:
-        if args.input == "-":
-            input_graphs = sys.stdin.read().splitlines()
-        else:
-            try:
-                with open(args.input, encoding="utf-8") as fh:
-                    input_graphs = fh.read().splitlines()
-            except OSError as exc:
-                raise InputError(f"cannot read {args.input}: {exc}") from exc
+        input_graphs = _read_text(args.input).splitlines()
     started = time.monotonic()
     report = run_characterization_campaign(
         max_order=args.max_order,
@@ -228,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--filter",
         default="all",
-        choices=["all", "bipartite", "chordal", "triangle-free"],
+        choices=FILTER_NAMES,
     )
     p.add_argument("--out", help="report path (default stdout)")
     p.add_argument("--csv", help="also write a per-graph CSV summary")

@@ -34,6 +34,7 @@ from typing import Iterator
 from .graph import (
     Graph,
     InputError,
+    bipartition,
     components,
     connected_subsets,
     edge_set_between,
@@ -45,6 +46,7 @@ from .graph import (
     vlist,
     vset,
 )
+from .weights import make_weights
 
 PATTERN_NAMES = ("H1", "H2", "H3", "KMN")
 
@@ -118,13 +120,11 @@ def beta(g: Graph, s: int) -> QuotientGraph:
     return QuotientGraph(quotient, bags, tuple(bag_of), in_s)
 
 
-def lift_weights(q: QuotientGraph, w) -> tuple:
-    """Weights for the quotient: each bag gets the sum over its members."""
-    from .weights import make_weights
-
-    base_n = sum(popcount(b) for b in q.bags)
-    weights = make_weights(w, base_n)
-    return tuple(sum(weights[v] for v in iter_bits(b)) for b in q.bags)
+def lift_weights(bags: tuple[int, ...], w) -> tuple:
+    """Weights for the quotient by ``bags``: each bag gets the sum over its
+    members."""
+    weights = make_weights(w, sum(popcount(b) for b in bags))
+    return tuple(sum(weights[v] for v in iter_bits(b)) for b in bags)
 
 
 @dataclass
@@ -278,94 +278,89 @@ def find_pattern(g: Graph, pattern: str, budget: int = 10**6) -> PatternMatch | 
     return match
 
 
-def _find_h1(g: Graph, budget: _Budget) -> PatternMatch | None:
+def _split_pairs(g: Graph, budget: _Budget) -> Iterator[tuple[int, int, int]]:
+    """The (V2, V4) candidates shared by H1 and H2: disjoint, non-adjacent
+    connected bags b and d, smallest first, with the nonempty remainder
+    V(G) - b - d.  Every pair costs one budget unit, empty remainder or not."""
     full = g.full_mask
     subs = _ordered_connected_subsets(g)
-    reach = {m: neighborhood_mask(g, m) for m in subs}
     for b in subs:  # V2
-        nb = reach[b]
+        closed = b | neighborhood_mask(g, b)
         for d in subs:  # V4
-            if d & (b | nb):
+            if d & closed:
                 continue
             budget.spend()
             rest = full ^ b ^ d
-            if rest == 0:
-                continue
-            touch_b, touch_d, touch_both = [], [], []
-            ok = True
-            for comp in components(g, rest):
-                creach = neighborhood_mask(g, comp)
-                hits_b, hits_d = bool(creach & b), bool(creach & d)
-                if hits_b and hits_d:
-                    touch_both.append(comp)
-                elif hits_b:
-                    touch_b.append(comp)
-                elif hits_d:
-                    touch_d.append(comp)
-                else:
-                    ok = False
-                    break
-            if not ok or not touch_b or not touch_d:
-                continue
-            if touch_both:
-                v1 = _union(touch_b)
-                v3 = _union(touch_both)
-                v5 = _union(touch_d)
-            elif len(touch_b) >= 2 and len(touch_d) >= 2:
-                v1 = _union(touch_b[:-1])
-                v3 = touch_b[-1] | touch_d[-1]
-                v5 = _union(touch_d[:-1])
+            if rest:
+                yield b, d, rest
+
+
+def _find_h1(g: Graph, budget: _Budget) -> PatternMatch | None:
+    for b, d, rest in _split_pairs(g, budget):
+        touch_b, touch_d, touch_both = [], [], []
+        ok = True
+        for comp in components(g, rest):
+            creach = neighborhood_mask(g, comp)
+            hits_b, hits_d = bool(creach & b), bool(creach & d)
+            if hits_b and hits_d:
+                touch_both.append(comp)
+            elif hits_b:
+                touch_b.append(comp)
+            elif hits_d:
+                touch_d.append(comp)
             else:
-                continue
-            return PatternMatch("H1", (v1, b, v3, d, v5))
+                ok = False
+                break
+        if not ok or not touch_b or not touch_d:
+            continue
+        if touch_both:
+            v1 = _union(touch_b)
+            v3 = _union(touch_both)
+            v5 = _union(touch_d)
+        elif len(touch_b) >= 2 and len(touch_d) >= 2:
+            v1 = _union(touch_b[:-1])
+            v3 = touch_b[-1] | touch_d[-1]
+            v5 = _union(touch_d[:-1])
+        else:
+            continue
+        return PatternMatch("H1", (v1, b, v3, d, v5))
     return None
 
 
 def _find_h2(g: Graph, budget: _Budget) -> PatternMatch | None:
-    full = g.full_mask
-    subs = _ordered_connected_subsets(g)
-    reach = {m: neighborhood_mask(g, m) for m in subs}
-    for b in subs:  # V2
-        nb = reach[b]
-        for d in subs:  # V4
-            if d & (b | nb):
-                continue
-            budget.spend()
-            rest = full ^ b ^ d
-            if rest == 0:
-                continue
-            singles, extras = [], []
-            ok = True
-            for comp in components(g, rest):
-                eb = sum(popcount(g.adj[v] & b) for v in iter_bits(comp))
-                hits_d = bool(neighborhood_mask(g, comp) & d)
-                if eb >= 2 or (eb == 0 and not hits_d):
-                    ok = False
-                    break
-                if eb == 1:
-                    singles.append((comp, hits_d))
-                else:
-                    extras.append(comp)
-            if not ok or len(singles) != 2:
-                continue
-            for (p, p_hits), (q, q_hits) in (
-                (singles[0], singles[1]),
-                (singles[1], singles[0]),
-            ):
-                pool = list(extras)
-                v1, v3 = p, q
-                if not p_hits:
-                    if not pool:
-                        continue
-                    v1 |= pool.pop(0)
-                if not q_hits:
-                    if not pool:
-                        continue
-                    v3 |= pool.pop(0)
+    for b, d, rest in _split_pairs(g, budget):
+        singles, extras = [], []
+        ok = True
+        for comp in components(g, rest):
+            eb = sum(popcount(g.adj[v] & b) for v in iter_bits(comp))
+            hits_d = bool(neighborhood_mask(g, comp) & d)
+            if eb >= 2 or (eb == 0 and not hits_d):
+                ok = False
+                break
+            if eb == 1:
+                singles.append((comp, hits_d))
+            else:
+                extras.append(comp)
+        if not ok or len(singles) != 2:
+            continue
+        for (p, p_hits), (q, q_hits) in (
+            (singles[0], singles[1]),
+            (singles[1], singles[0]),
+        ):
+            pool = list(extras)
+            v1, v3 = p, q
+            if not p_hits:
                 if not pool:
                     continue
-                v5 = _union(pool)
-                return PatternMatch("H2", (v1, b, v3, d, v5))
+                v1 |= pool.pop(0)
+            if not q_hits:
+                if not pool:
+                    continue
+                v3 |= pool.pop(0)
+            if not pool:
+                continue
+            v5 = _union(pool)
+            return PatternMatch("H2", (v1, b, v3, d, v5))
     return None
 
 
@@ -423,18 +418,27 @@ def _pin_h3(g: Graph, bags: tuple[int, ...]) -> PatternMatch | None:
     return None
 
 
-def _find_kmn(g: Graph, budget: _Budget) -> PatternMatch | None:
-    from .graph import bipartition
-
-    full = g.full_mask
+def complete_bipartite_match(g: Graph) -> PatternMatch | None:
+    """The all-singleton KMN match when g itself is K_{m,n} with m != n, both
+    at least 2; None otherwise.  Needs no search, so it spends no budget."""
     sides = bipartition(g)
-    if sides is not None:
-        x, y = sides
-        complete = all(g.adj[v] & y == y for v in iter_bits(x))
-        mx, my = popcount(x), popcount(y)
-        if complete and mx != my and mx >= 2 and my >= 2:
-            bags = tuple(1 << v for v in vlist(x)) + tuple(1 << v for v in vlist(y))
-            return PatternMatch("KMN", bags, {"m": mx, "n": my, "z_index": None})
+    if sides is None:
+        return None
+    x, y = sides
+    mx, my = popcount(x), popcount(y)
+    if mx == my or mx < 2 or my < 2:
+        return None
+    if any(g.adj[v] & y != y for v in iter_bits(x)):
+        return None
+    bags = tuple(1 << v for v in vlist(x)) + tuple(1 << v for v in vlist(y))
+    return PatternMatch("KMN", bags, {"m": mx, "n": my, "z_index": None})
+
+
+def _find_kmn(g: Graph, budget: _Budget) -> PatternMatch | None:
+    match = complete_bipartite_match(g)
+    if match is not None:
+        return match
+    full = g.full_mask
     for z in _ordered_connected_subsets(g):
         if popcount(z) < 2 or z == full:
             continue
@@ -457,23 +461,6 @@ def _find_kmn(g: Graph, budget: _Budget) -> PatternMatch | None:
             "KMN", bags, {"m": m, "n": n, "z_index": x_bags.index(z)}
         )
     return None
-
-
-def contractible_to_k2d_at(g: Graph, v: int) -> bool:
-    """Does contracting everything outside N[v] yield K_{2, deg(v)} with
-    deg(v) >= 3?  Requires an independent neighborhood, every neighbor of
-    degree at least 2, and a connected nonempty remainder."""
-    if not 0 <= v < g.n:
-        raise InputError(f"vertex {v} out of range")
-    nv = g.adj[v]
-    if popcount(nv) < 3:
-        return False
-    if any(g.adj[u] & nv for u in iter_bits(nv)):
-        return False
-    if any(popcount(g.adj[u]) < 2 for u in iter_bits(nv)):
-        return False
-    z = g.full_mask ^ nv ^ (1 << v)
-    return is_connected_mask(g, z)
 
 
 def _union(masks) -> int:

@@ -23,14 +23,16 @@ from .graph import (
 
 MAX_ENUM_ORDER = 8
 
-FILTER_NAMES = ("all", "bipartite", "chordal", "triangle-free")
-
-_FILTERS = {
-    "all": lambda g: True,
+# The three structural sweeps; campaigns use the same table.
+SWEEP_FILTERS = {
     "bipartite": lambda g: bipartition(g) is not None,
     "chordal": lambda g: is_chordal(g)[0],
     "triangle-free": is_triangle_free,
 }
+
+_FILTERS = {"all": lambda g: True, **SWEEP_FILTERS}
+
+FILTER_NAMES = tuple(_FILTERS)
 
 
 @lru_cache(maxsize=None)

@@ -22,11 +22,18 @@ MAX_ORDER = 62  # graph6 short form limit; nothing here needs more
 
 
 def vset(vertices: Iterable[int]) -> int:
-    """Pack an iterable of vertex ids into a bitmask."""
+    """Pack an iterable of vertex ids into a bitmask.  Each id must be an int
+    (not a bool) in 0..MAX_ORDER-1; it is checked before any shift."""
+    try:
+        ids = iter(vertices)
+    except TypeError as exc:
+        raise InputError(
+            f"a vertex set must be a list of vertex ids, not {type(vertices).__name__}"
+        ) from exc
     mask = 0
-    for v in vertices:
-        if v < 0:
-            raise InputError(f"vertex id {v} is negative")
+    for v in ids:
+        if isinstance(v, bool) or not isinstance(v, int) or not 0 <= v < MAX_ORDER:
+            raise InputError(f"vertex id {v!r} must be an integer in 0..{MAX_ORDER - 1}")
         mask |= 1 << v
     return mask
 

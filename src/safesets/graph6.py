@@ -23,6 +23,8 @@ def _triangle_pairs(n: int):
 
 def parse_graph6(text: str) -> Graph:
     """Decode one graph6 string (an optional >>graph6<< header is allowed)."""
+    if not isinstance(text, str):
+        raise InputError(f"graph6 must be a string, not {type(text).__name__}")
     s = text.strip()
     if s.startswith(_HEADER):
         s = s[len(_HEADER):]
@@ -72,8 +74,3 @@ def to_graph6(g: Graph) -> str:
     if filled:
         out.append((acc << (6 - filled)) + _OFFSET)
     return bytes(out).decode("ascii")
-
-
-def parse_graph6_lines(text: str) -> list[Graph]:
-    """Decode a whole file worth of graph6 lines, skipping blanks."""
-    return [parse_graph6(line) for line in text.splitlines() if line.strip()]

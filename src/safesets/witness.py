@@ -15,11 +15,15 @@ import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .contraction import PatternMatch, find_pattern, validate_match
+from .contraction import (
+    PatternMatch,
+    complete_bipartite_match,
+    find_pattern,
+    validate_match,
+)
 from .graph import (
     Graph,
     InputError,
-    bipartition,
     components,
     is_connected,
     iter_bits,
@@ -33,8 +37,8 @@ from .solver import MAX_SOLVER_ORDER, is_safe_set, solve_pair
 from .weights import (
     WeightFn,
     format_rational,
-    make_weights,
     parse_rational,
+    parse_weights_json,
 )
 
 RANDOM_PATTERN = "RANDOM"
@@ -72,6 +76,8 @@ class WitnessParams:
 
     @classmethod
     def from_json(cls, obj: dict) -> "WitnessParams":
+        if not isinstance(obj, dict):
+            raise InputError("witness params must be a JSON object")
         kwargs = {}
         for name in ("alpha", "eps", "eps3", "eps4", "eps5"):
             if name in obj and obj[name] is not None:
@@ -278,17 +284,6 @@ def _certificate_from_solution(g, weights, pattern, match, params, seed=None):
     )
 
 
-def _unbalanced_complete_bipartite(g: Graph) -> bool:
-    sides = bipartition(g)
-    if sides is None:
-        return False
-    x, y = sides
-    mx, my = popcount(x), popcount(y)
-    if mx == my or mx < 2 or my < 2:
-        return False
-    return all(g.adj[v] & y == y for v in iter_bits(x))
-
-
 def certify_non_membership(
     g: Graph,
     *,
@@ -309,13 +304,12 @@ def certify_non_membership(
     if g.n > MAX_SOLVER_ORDER:
         raise InputError(f"certification limited to order {MAX_SOLVER_ORDER}")
 
-    if _unbalanced_complete_bipartite(g):
-        match = find_pattern(g, "KMN", budget)
-        if match is not None and match.params.get("z_index") is None:
-            weights = weights_for_kmn(g, match, None)
-            cert = _certificate_from_solution(g, weights, "KMN", match, None)
-            if cert is not None:
-                return cert
+    match = complete_bipartite_match(g)
+    if match is not None:
+        weights = weights_for_kmn(g, match, None)
+        cert = _certificate_from_solution(g, weights, "KMN", match, None)
+        if cert is not None:
+            return cert
 
     for name in ("H1", "H2", "H3", "KMN"):
         match = find_pattern(g, name, budget)
@@ -355,7 +349,7 @@ def verify_certificate(obj: dict) -> tuple[bool, list[str]]:
         if field not in obj:
             raise InputError(f"certificate is missing the {field!r} field")
     g = parse_graph6(obj["graph6"])
-    weights = make_weights([parse_rational(x) for x in obj["weights"]], g.n)
+    weights = parse_weights_json(obj["weights"], g.n)
     claimed_s = parse_rational(obj["s"])
     claimed_cs = parse_rational(obj["cs"])
     stated_set = vset(obj["minimumSafeSet"])

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 
 import pytest
@@ -175,6 +176,14 @@ class TestReportFormats:
         by_g6 = {row[0]: row for row in rows[1:]}
         assert by_g6["DhC"][3] == NON_MEMBER
         assert by_g6["Cl"][3] == MEMBER
+
+    def test_order_six_report_bytes_pinned(self):
+        # any change to sweeps, pattern search or certificates moves this hash
+        report = run_characterization_campaign(
+            max_order=6, samples_per_member=20, seed=0)
+        digest = hashlib.sha256(report_to_json(report).encode()).hexdigest()
+        assert digest == (
+            "45409d1cf6d3881a4f8c904b3f6e8dcf03a333558e79e0f9622331a6b153ab1e")
 
     def test_json_stable_key_order(self):
         report = run_characterization_campaign(

@@ -1,3 +1,4 @@
+import io
 import json
 
 import pytest
@@ -202,6 +203,53 @@ class TestCampaign:
                            "--jobs", "0")
         assert code == 2
         assert "jobs must be at least 1" in err
+
+
+def _certificate(**changes) -> str:
+    cert = {"schemaVersion": 1, "graph6": "D]o", "pattern": "KMN",
+            "params": None, "weights": ["1"] * 5, "s": "2", "cs": "3",
+            "minimumSafeSet": [0, 1],
+            "match": {"pattern": "KMN",
+                      "bags": [[0], [1], [2], [3], [4]],
+                      "params": {"m": 2, "n": 3, "z_index": None}}}
+    cert.update(changes)
+    return json.dumps(cert)
+
+
+class TestMalformedShapes:
+    """Malformed vertex sets and certificate fields: exit 2, one error line."""
+
+    @pytest.mark.parametrize("request_json", [
+        '{"s": ["a"]}',
+        '{"s": 3}',
+        '{"s": [1.5]}',
+        '{"s": [true]}',
+        '{"s": [62]}',
+        '{"bags": [[0, 1], "x"]}',
+        '{"bags": [[0, 1], [2, 3.0]]}',
+    ])
+    def test_contract(self, capsys, request_json):
+        self._check(run(capsys, "contract", "--graph6", "Cl",
+                        "--json", request_json))
+
+    @pytest.mark.parametrize("field,value", [
+        ("weights", 5),
+        ("graph6", 5),
+        ("params", 5),
+        ("minimumSafeSet", 5),
+        ("minimumSafeSet", ["a"]),
+    ])
+    def test_verify_certificate(self, capsys, monkeypatch, field, value):
+        monkeypatch.setattr("sys.stdin", io.StringIO(_certificate(**{field: value})))
+        self._check(run(capsys, "verify-certificate"))
+
+    @staticmethod
+    def _check(result):
+        code, out, err = result
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "Traceback" not in err
 
 
 class TestArgparseErrors:

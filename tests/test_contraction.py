@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,7 +11,7 @@ from safesets.contraction import (
     PATTERN_NAMES,
     PatternMatch,
     beta,
-    contractible_to_k2d_at,
+    complete_bipartite_match,
     find_pattern,
     lift_weights,
     pattern_graph,
@@ -17,6 +19,7 @@ from safesets.contraction import (
     validate_match,
 )
 from safesets.graph import Graph, InputError, components, vlist, vset
+from safesets.witness import certify_non_membership
 
 
 def banner() -> Graph:
@@ -117,13 +120,13 @@ class TestLiftWeights:
     def test_c6_sum(self):
         g = Graph.cycle(6)
         q = beta(g, vset([0, 3]))
-        assert lift_weights(q, (1, 2, 3, 4, 5, 6)) == (1, 4, 5, 11)
+        assert lift_weights(q.bags, (1, 2, 3, 4, 5, 6)) == (1, 4, 5, 11)
 
     def test_identity(self):
         g = Graph.path(5)
         q = beta(g, vset([1, 3]))
         # singleton bags permute the weights into bag order
-        assert lift_weights(q, (10, 20, 30, 40, 50)) == (20, 40, 10, 30, 50)
+        assert lift_weights(q.bags, (10, 20, 30, 40, 50)) == (20, 40, 10, 30, 50)
 
 
 class TestFindPattern:
@@ -195,30 +198,36 @@ class TestValidateMatch:
             PatternMatch.from_json({"bags": [[0]]})
 
 
-class TestContractibleToK2d:
-    def test_k23_hub(self):
-        g = Graph.complete_bipartite(2, 3)
-        assert contractible_to_k2d_at(g, 0)
-        assert contractible_to_k2d_at(g, 1)
-        # degree-2 vertices fail the deg >= 3 screen
-        assert not contractible_to_k2d_at(g, 2)
+def relabel(g: Graph, perm: list[int]) -> Graph:
+    return Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
 
-    def test_k33_remainder_disconnected(self):
-        g = Graph.complete_bipartite(3, 3)
-        assert not any(contractible_to_k2d_at(g, v) for v in range(6))
 
-    def test_star_center(self):
-        assert not contractible_to_k2d_at(Graph.star(4), 0)
+class TestCompleteBipartiteMatch:
+    UNBALANCED = [(m, n) for n in range(3, 6) for m in range(2, n)]
 
-    def test_c6(self):
-        assert not any(contractible_to_k2d_at(Graph.cycle(6), v)
-                       for v in range(6))
+    @pytest.mark.parametrize("m,n", UNBALANCED)
+    @pytest.mark.parametrize("shuffled", [False, True])
+    def test_equals_pattern_search(self, m, n, shuffled):
+        g = Graph.complete_bipartite(m, n)
+        if shuffled:
+            perm = list(range(g.n))
+            random.Random(10 * m + n).shuffle(perm)
+            g = relabel(g, perm)
+        match = complete_bipartite_match(g)
+        assert match is not None
+        assert match == find_pattern(g, "KMN")
+        sides = sorted((match.params["m"], match.params["n"]))
+        assert sides == [m, n] and match.params["z_index"] is None
+        cert = certify_non_membership(g)
+        assert cert.pattern == "KMN" and cert.params is None
+        assert cert.match == match
 
-    def test_subdivided_star_with_rim(self):
-        g = Graph.from_edges(7, [(0, 1), (0, 2), (0, 3), (1, 4), (2, 5),
-                                 (3, 6), (4, 5), (5, 6)])
-        assert contractible_to_k2d_at(g, 0)
-
-    def test_out_of_range(self):
-        with pytest.raises(InputError):
-            contractible_to_k2d_at(Graph.path(3), 7)
+    @pytest.mark.parametrize("g", [
+        Graph.complete_bipartite(3, 3),
+        Graph.complete_bipartite(1, 4),
+        Graph.cycle(6),
+        Graph.path(5),
+        Graph.from_edges(5, [(0, 2), (0, 3), (0, 4), (1, 2), (1, 3)]),
+    ], ids=["K33", "K14", "C6", "P5", "K23-minus-edge"])
+    def test_none_otherwise(self, g):
+        assert complete_bipartite_match(g) is None

@@ -7,6 +7,7 @@ from conftest import arbitrary_graphs, connected_graphs
 
 from safesets.graph import (
     Graph,
+    MAX_ORDER,
     InputError,
     bfs_distances,
     bipartition,
@@ -227,3 +228,10 @@ class TestMaskHelpers:
         assert vlist(vset([4, 1, 2])) == [1, 2, 4]
         with pytest.raises(InputError):
             vset([-1])
+        assert vset([0, MAX_ORDER - 1]) == 1 | 1 << (MAX_ORDER - 1)
+
+    @pytest.mark.parametrize("bad", [
+        3, None, ["a"], [1.5], [True], [2.0], [MAX_ORDER], [1000]])
+    def test_vset_checks_ids_before_shifting(self, bad):
+        with pytest.raises(InputError):
+            vset(bad)

@@ -5,7 +5,7 @@ from hypothesis import given
 from conftest import arbitrary_graphs
 
 from safesets.graph import Graph, InputError
-from safesets.graph6 import parse_graph6, parse_graph6_lines, to_graph6
+from safesets.graph6 import parse_graph6, to_graph6
 
 
 class TestEncode:
@@ -61,7 +61,3 @@ class TestParse:
     def test_non_ascii(self):
         with pytest.raises(InputError, match="non-ascii"):
             parse_graph6("C\u00e9")
-
-    def test_lines(self):
-        graphs = parse_graph6_lines("Cl\n\nDhC\n")
-        assert [g.n for g in graphs] == [4, 5]
