@@ -159,9 +159,16 @@ class PatternMatch:
         try:
             pattern = obj["pattern"]
             bags = tuple(vset(b) for b in obj["bags"])
-            params = dict(obj.get("params", {}))
+            params = obj.get("params", {})
         except (KeyError, TypeError) as exc:
             raise InputError(f"malformed pattern match object: {exc}") from exc
+        if not isinstance(pattern, str) or not isinstance(params, dict):
+            raise InputError("a pattern match needs a string pattern and a params object")
+        params = dict(params)
+        for key in ("m", "n", "z_index", "v4"):
+            value = params.get(key)
+            if value is not None and type(value) is not int:
+                raise InputError(f"match param {key!r} must be an integer")
         if "d" in params:
             params["d"] = vset(params["d"])
         return cls(pattern, bags, params)
@@ -198,7 +205,7 @@ def validate_match(g: Graph, match: PatternMatch) -> None:
         if not is_connected_mask(g, bags[2]):
             raise InputError("H3 needs a connected bag V3")
         v4 = match.params.get("v4")
-        if v4 is None or not bags[3] >> v4 & 1:
+        if v4 is None or v4 < 0 or not bags[3] >> v4 & 1:
             raise InputError("H3 match must pin a vertex v4 inside V4")
         if not g.adj[v4] & bags[2]:
             raise InputError("v4 must have a neighbor in V3")

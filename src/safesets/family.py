@@ -112,24 +112,12 @@ def build_d_family(variant: str, m: int, n: int, p: int, q: int) -> Graph:
         raise InputError(f"unknown variant {variant!r}")
     if min(m, n, p, q) < 0:
         raise InputError("parameters must be nonnegative")
-    x1 = list(range(m))
-    y1 = list(range(m, 2 * m + 1))
-    x2 = list(range(2 * m + 1, 2 * m + n + 2))
-    y2 = list(range(2 * m + n + 2, 2 * m + 2 * n + 2))
-    pend_p = list(range(2 * m + 2 * n + 2, 2 * m + 2 * n + 2 + p))
-    pend_q = list(range(2 * m + 2 * n + 2 + p, 2 * m + 2 * n + 2 + p + q))
-    y, x = y1[0], x2[0]
-    edges = set()
-    edges.update((u, v) for u in x1 for v in y1)
-    edges.update((u, v) for u in x2 for v in y2)
-    if variant == "D":
-        edges.update((u, v) for u in x2 for v in y1)
-    else:
-        edges.update((x, v) for v in y1)
-        edges.update((y, u) for u in x2)
-    edges.update((y, v) for v in pend_p)
-    edges.update((x, v) for v in pend_q)
-    return Graph.from_edges(2 * m + 2 * n + 2 + p + q, sorted(edges))
+    parts, start = [], 0
+    for size in (m, m + 1, n + 1, n, p, q):  # X1, Y1, X2, Y2, P, Q
+        parts.append(((1 << size) - 1) << start)
+        start += size
+    x, y = 2 * m + 1, m  # least vertices of X2 and Y1
+    return Graph(start, _d_rows(start, variant, *parts, x, y))
 
 
 def normalize_d_params(
@@ -164,8 +152,10 @@ def _pendant_mask(g: Graph, center: int) -> int:
     return vset(v for v in g.neighbors(center) if g.degree(v) == 1)
 
 
-def _rebuild_matches(g, variant, x1, y1, x2, y2, pend_p, pend_q, x, y) -> bool:
-    rows = [0] * g.n
+def _d_rows(n, variant, x1, y1, x2, y2, pend_p, pend_q, x, y) -> tuple[int, ...]:
+    """Adjacency rows of the two-block graph on n vertices with the given
+    part masks, as described in :func:`build_d_family`."""
+    rows = [0] * n
 
     def connect(a_mask: int, b_mask: int) -> None:
         for u in iter_bits(a_mask):
@@ -182,7 +172,7 @@ def _rebuild_matches(g, variant, x1, y1, x2, y2, pend_p, pend_q, x, y) -> bool:
         connect(1 << y, x2)
     connect(1 << y, pend_p)
     connect(1 << x, pend_q)
-    return tuple(rows) == g.adj
+    return tuple(rows)
 
 
 def _candidate_splits(g: Graph, a_side: int, b_side: int, x: int, y: int):
@@ -244,7 +234,7 @@ def all_d_representations(g: Graph) -> list[tuple[str, int, int, int, int]]:
                 m, n = popcount(x1), popcount(y2)
                 if popcount(y1) != m + 1 or popcount(x2) != n + 1:
                     continue
-                if not _rebuild_matches(g, variant, x1, y1, x2, y2, pp, qq, x, y):
+                if _d_rows(g.n, variant, x1, y1, x2, y2, pp, qq, x, y) != g.adj:
                     continue
                 found.add(normalize_d_params(variant, m, n, popcount(pp), popcount(qq)))
     return sorted(found)

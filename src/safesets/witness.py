@@ -16,6 +16,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .contraction import (
+    PATTERN_NAMES,
     PatternMatch,
     complete_bipartite_match,
     find_pattern,
@@ -110,7 +111,9 @@ def default_params(g: Graph, match: PatternMatch) -> WitnessParams:
     return WitnessParams(alpha)
 
 
-def _require_alpha(params: WitnessParams) -> Fraction:
+def _require_alpha(params: WitnessParams | None) -> Fraction:
+    if params is None:
+        raise ParamError("the construction needs an alpha")
     if params.alpha <= 1:
         raise ParamError("alpha must be greater than 1")
     return params.alpha
@@ -211,8 +214,6 @@ def weights_for_kmn(g: Graph, match: PatternMatch, params: WitnessParams | None)
     z_index = match.params.get("z_index")
     if z_index is None:
         return tuple(Fraction(1) for _ in range(g.n))
-    if params is None:
-        raise ParamError("a designated bag needs alpha")
     alpha = _require_alpha(params)
     z = match.bags[z_index]
     size = popcount(z)
@@ -284,11 +285,25 @@ def _certificate_from_solution(g, weights, pattern, match, params, seed=None):
     )
 
 
+def _candidates(g: Graph, budget: int):
+    """Yield (match, params) in route order: the constant K(m,n) match without
+    params, then each pattern's match, searched lazily, up the alpha ladder."""
+    match = complete_bipartite_match(g)
+    if match is not None:
+        yield match, None
+    for name in PATTERN_NAMES:
+        match = find_pattern(g, name, budget)
+        if match is None:
+            continue
+        base = default_params(g, match)
+        for k in range(DEFAULT_ALPHA_DOUBLINGS + 1):
+            yield match, replace(base, alpha=Fraction(2) * 2**k)
+
+
 def certify_non_membership(
     g: Graph,
     *,
     budget: int = 10**6,
-    max_alpha_doublings: int = DEFAULT_ALPHA_DOUBLINGS,
     sample_count: int = DEFAULT_SAMPLE_COUNT,
     seed: int = 0,
 ) -> WitnessCertificate | None:
@@ -304,27 +319,14 @@ def certify_non_membership(
     if g.n > MAX_SOLVER_ORDER:
         raise InputError(f"certification limited to order {MAX_SOLVER_ORDER}")
 
-    match = complete_bipartite_match(g)
-    if match is not None:
-        weights = weights_for_kmn(g, match, None)
-        cert = _certificate_from_solution(g, weights, "KMN", match, None)
+    for match, params in _candidates(g, budget):
+        try:
+            weights = _BUILDERS[match.pattern](g, match, params)
+        except ParamError:
+            continue
+        cert = _certificate_from_solution(g, weights, match.pattern, match, params)
         if cert is not None:
             return cert
-
-    for name in ("H1", "H2", "H3", "KMN"):
-        match = find_pattern(g, name, budget)
-        if match is None:
-            continue
-        base = default_params(g, match)
-        for k in range(max_alpha_doublings + 1):
-            params = replace(base, alpha=Fraction(2) * 2**k)
-            try:
-                weights = _BUILDERS[name](g, match, params)
-            except ParamError:
-                continue
-            cert = _certificate_from_solution(g, weights, name, match, params)
-            if cert is not None:
-                return cert
 
     rng = random.Random(seed)
     for _ in range(sample_count):
@@ -338,10 +340,11 @@ def certify_non_membership(
 
 
 def verify_certificate(obj: dict) -> tuple[bool, list[str]]:
-    """Re-derive everything checkable from a certificate JSON object.
-
-    Returns (ok, problems).  Malformed input raises InputError; a well-formed
-    certificate whose claims do not hold comes back as (False, [...]).
+    """Re-derive everything checkable from a certificate JSON object: the
+    optima by an exact solve, and a pattern certificate's weights from its
+    match and params.  Returns (ok, problems).  Malformed input raises
+    InputError; a well-formed certificate whose claims do not hold comes
+    back as (False, [...]).
     """
     if not isinstance(obj, dict):
         raise InputError("certificate must be a JSON object")
@@ -353,6 +356,14 @@ def verify_certificate(obj: dict) -> tuple[bool, list[str]]:
     claimed_s = parse_rational(obj["s"])
     claimed_cs = parse_rational(obj["cs"])
     stated_set = vset(obj["minimumSafeSet"])
+    pattern = obj["pattern"]
+    if not isinstance(pattern, str):
+        raise InputError("certificate pattern must be a string")
+    if pattern in _BUILDERS:
+        if obj.get("match") is None:
+            raise InputError(f"a certificate of pattern {pattern} needs a match")
+        match = PatternMatch.from_json(obj["match"])
+        params = None if obj.get("params") is None else WitnessParams.from_json(obj["params"])
 
     problems: list[str] = []
     s_sol, cs_sol = solve_pair(g, weights)
@@ -373,27 +384,18 @@ def verify_certificate(obj: dict) -> tuple[bool, list[str]]:
         if len(components(g, stated_set)) < 2:
             problems.append("stated minimum safe set induces a connected subgraph")
 
-    pattern = obj["pattern"]
-    if pattern not in _BUILDERS and pattern != RANDOM_PATTERN:
-        problems.append(f"unknown pattern {pattern!r}")
-    if "match" in obj and obj["match"] is not None:
-        match = PatternMatch.from_json(obj["match"])
+    if pattern in _BUILDERS:
         try:
-            validate_match(g, match)
+            if match.pattern != pattern:
+                raise InputError(f"match is for {match.pattern!r}, not {pattern!r}")
+            rebuilt = _BUILDERS[pattern](g, match, params)
+        except ParamError as exc:
+            problems.append(f"stated params are invalid: {exc}")
         except InputError as exc:
             problems.append(f"invalid pattern match: {exc}")
         else:
-            if pattern in _BUILDERS and obj.get("params") is not None:
-                params = WitnessParams.from_json(obj["params"])
-                try:
-                    rebuilt = _BUILDERS[pattern](g, match, params)
-                except ParamError as exc:
-                    problems.append(f"stated params are invalid: {exc}")
-                else:
-                    if rebuilt != weights:
-                        problems.append("weights do not match the construction")
-            if pattern == "KMN" and obj.get("params") is None:
-                if match.params.get("z_index") is None:
-                    if weights != weights_for_kmn(g, match, None):
-                        problems.append("weights do not match the constant construction")
+            if rebuilt != weights:
+                problems.append("weights do not match the construction")
+    elif pattern != RANDOM_PATTERN:
+        problems.append(f"unknown pattern {pattern!r}")
     return (not problems, problems)

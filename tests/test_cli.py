@@ -238,6 +238,10 @@ class TestMalformedShapes:
         ("params", 5),
         ("minimumSafeSet", 5),
         ("minimumSafeSet", ["a"]),
+        ("pattern", []),
+        ("pattern", 5),
+        ("match", {"pattern": "KMN", "bags": [[0], [1], [2], [3], [4]],
+                   "params": {"m": "x", "n": 3}}),
     ])
     def test_verify_certificate(self, capsys, monkeypatch, field, value):
         monkeypatch.setattr("sys.stdin", io.StringIO(_certificate(**{field: value})))

@@ -1,3 +1,5 @@
+import hashlib
+import json
 from dataclasses import replace
 from fractions import Fraction
 
@@ -42,6 +44,14 @@ def h3_wide_middle() -> tuple[Graph, PatternMatch]:
     m = PatternMatch("H3", (vset([2]), vset([0]), vset([3, 4]), vset([1]),
                             vset([5])), {"v4": 1, "d": vset([5])})
     return g, m
+
+
+def spread_bag_graph() -> Graph:
+    # K(2,3) with the bag {0, 1, 2} on the two-vertex side
+    return Graph.from_edges(7, [(0, 1), (1, 2),
+                                (0, 4), (0, 5), (0, 6), (1, 4), (1, 5),
+                                (1, 6), (2, 4), (2, 5), (2, 6),
+                                (3, 4), (3, 5), (3, 6)])
 
 
 class TestH1Weights:
@@ -244,6 +254,20 @@ class TestCertification:
         got = certify_non_membership(Graph.path(5), budget=1, sample_count=0)
         assert got is None
 
+    def test_route_walk_pin(self):
+        # Every connected graph of order <= 6 without the random fallback:
+        # 112 unknown, 9 H1, 12 H2, 7 H3 and 3 KMN certificates.
+        lines = []
+        for order in range(1, 7):
+            for g in enumerate_connected_graphs(order):
+                cert = certify_non_membership(g, sample_count=0)
+                lines.append("unknown" if cert is None
+                             else json.dumps(cert.to_json(), sort_keys=True))
+        assert len(lines) == 143
+        digest = hashlib.sha256("".join(f"{x}\n" for x in lines).encode())
+        assert digest.hexdigest() == (
+            "9e9ebe4816b512ab03eadc1c829e0d11c142ca992e9fc8dd8eef61daec3968c6")
+
     def test_solver_confirms_every_emission(self):
         for g in (Graph.path(5), Graph.path(6),
                   Graph.complete_bipartite(2, 3),
@@ -291,6 +315,55 @@ class TestVerifyCertificate:
         obj["graph6"] = "~??"
         with pytest.raises(InputError):
             verify_certificate(obj)
+
+    @staticmethod
+    def _problems(obj) -> list[str]:
+        ok, problems = verify_certificate(obj)
+        assert ok == (problems == [])
+        return problems
+
+    @pytest.mark.parametrize("g,pattern", [
+        (Graph.path(5), "H1"),
+        (Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 0), (3, 4)]), "H2"),
+        (h3_wide_middle()[0], "H3"),
+        (spread_bag_graph(), "KMN"),
+    ])
+    def test_pattern_needs_params(self, g, pattern):
+        obj = certify_non_membership(g).to_json()
+        assert obj["pattern"] == pattern and obj["params"] is not None
+        assert self._problems(obj) == []
+        obj["params"] = None
+        problems = self._problems(obj)
+        assert len(problems) == 1
+        assert problems[0].startswith("stated params are invalid")
+
+    def test_pattern_needs_match(self):
+        obj = self._valid()
+        del obj["match"]
+        with pytest.raises(InputError, match="needs a match"):
+            verify_certificate(obj)
+
+    def test_match_for_another_pattern(self):
+        obj = self._valid()
+        obj["match"]["pattern"] = "H2"
+        problems = self._problems(obj)
+        assert problems == ["invalid pattern match: match is for 'H2', not 'H1'"]
+
+    def test_tampered_constant_kmn(self):
+        obj = certify_non_membership(Graph.complete_bipartite(2, 3)).to_json()
+        assert obj["params"] is None and self._problems(obj) == []
+        obj["weights"][0] = "2"
+        assert "weights do not match the construction" in self._problems(obj)
+
+    def test_random_is_only_resolved(self):
+        cert = certify_non_membership(Graph.path(5), budget=1, seed=0)
+        assert cert.pattern == RANDOM_PATTERN
+        obj = cert.to_json()
+        obj["match"] = {"pattern": "H1", "bags": [[0]]}
+        obj["params"] = {"alpha": "1"}
+        assert self._problems(obj) == []
+        obj["s"] = "1"
+        assert self._problems(obj) == [f"s mismatch: stated 1, solved {cert.s}"]
 
 
 class TestParamsJson:
