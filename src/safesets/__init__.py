@@ -30,9 +30,7 @@ from .graph6 import parse_graph6, to_graph6
 from .solver import (
     SafeSetSolution,
     all_minimum_safe_sets,
-    connected_safe_number,
     is_safe_set,
-    safe_number,
     solve_pair,
 )
 from .weights import make_weights, parse_rational, parse_weights_json
@@ -70,7 +68,6 @@ __all__ = [
     "classify_bipartite",
     "classify_chordal",
     "components",
-    "connected_safe_number",
     "default_params",
     "enumerate_connected_graphs",
     "find_pattern",
@@ -85,7 +82,6 @@ __all__ = [
     "quotient_of_partition",
     "recognize_d_family",
     "run_characterization_campaign",
-    "safe_number",
     "solve_pair",
     "study_graph",
     "to_graph6",

@@ -154,7 +154,7 @@ def _certify(g, graph6, verdict, sweeps, seed, record, failures) -> None:
         )
         return
     record["certificate"] = cert.to_json()
-    ok, problems = verify_certificate(cert.to_json())
+    ok, problems = verify_certificate(record["certificate"])
     if not ok:
         failures.append(
             _failure(graph6, "certificate-invalid", "; ".join(problems))
@@ -258,7 +258,7 @@ def run_characterization_campaign(
                 )
             )
     else:
-        results = [study_graph(g6, samples_per_member, seed) for g6 in graphs]
+        results = [_study_args((g6, samples_per_member, seed)) for g6 in graphs]
 
     results.sort(key=lambda pair: (pair[0]["order"], pair[0]["graph6"]))
     records = [record for record, _ in results]
@@ -289,7 +289,26 @@ def run_characterization_campaign(
 
 
 def _study_args(args: tuple[str, int, int]) -> tuple[dict, list[dict]]:
-    return study_graph(*args)
+    """study_graph on one (graph6, samples, seed) tuple.  An InputError
+    propagates; any other exception becomes an internal-error failure and a
+    record without a verdict, so one graph cannot abort the run."""
+    try:
+        return study_graph(*args)
+    except InputError:
+        raise
+    except Exception as exc:
+        graph6 = args[0]
+        record = {
+            "graph6": graph6,
+            "order": parse_graph6(graph6).n,
+            "sweeps": [],
+            "verdict": None,
+            "family": None,
+            "params": None,
+            "reason": "internal-error",
+        }
+        detail = f"{type(exc).__name__}: {exc}"
+        return record, [_failure(graph6, "internal-error", detail)]
 
 
 def _camel(name: str) -> str:

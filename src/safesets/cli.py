@@ -65,7 +65,7 @@ def _cmd_solve(args) -> int:
     weights = parse_weights_json(
         _read_json_arg(args.weights, args.weights_file, "weights"), g.n
     )
-    s_sol, cs_sol = solve_pair(g, weights, collect_all=args.all_minima)
+    s_sol, cs_sol = solve_pair(g, weights)
     out = {
         "schemaVersion": 1,
         "graph6": to_graph6(g),

@@ -72,7 +72,6 @@ class QuotientGraph:
 
     quotient: Graph
     bags: tuple[int, ...]
-    bag_of: tuple[int, ...]
     in_s: tuple[bool, ...]
 
 
@@ -111,13 +110,8 @@ def beta(g: Graph, s: int) -> QuotientGraph:
     inside = components(g, s)
     outside = components(g, g.full_mask ^ s)
     bags = tuple(inside + outside)
-    quotient = quotient_of_partition(g, bags)
-    bag_of = [0] * g.n
-    for i, b in enumerate(bags):
-        for v in iter_bits(b):
-            bag_of[v] = i
     in_s = tuple([True] * len(inside) + [False] * len(outside))
-    return QuotientGraph(quotient, bags, tuple(bag_of), in_s)
+    return QuotientGraph(quotient_of_partition(g, bags), bags, in_s)
 
 
 def lift_weights(bags: tuple[int, ...], w) -> tuple:
@@ -255,10 +249,6 @@ class _Budget:
             raise _Exhausted
 
 
-def _ordered_connected_subsets(g: Graph) -> list[int]:
-    return sorted(connected_subsets(g), key=lambda m: (popcount(m), m))
-
-
 def find_pattern(g: Graph, pattern: str, budget: int = 10**6) -> PatternMatch | None:
     """Search for a contraction of g onto ``pattern``.
 
@@ -290,7 +280,7 @@ def _split_pairs(g: Graph, budget: _Budget) -> Iterator[tuple[int, int, int]]:
     connected bags b and d, smallest first, with the nonempty remainder
     V(G) - b - d.  Every pair costs one budget unit, empty remainder or not."""
     full = g.full_mask
-    subs = _ordered_connected_subsets(g)
+    subs = connected_subsets(g)
     for b in subs:  # V2
         closed = b | neighborhood_mask(g, b)
         for d in subs:  # V4
@@ -373,7 +363,7 @@ def _find_h2(g: Graph, budget: _Budget) -> PatternMatch | None:
 
 def _find_h3(g: Graph, budget: _Budget) -> PatternMatch | None:
     full = g.full_mask
-    subs = _ordered_connected_subsets(g)
+    subs = connected_subsets(g)
     for v1 in range(g.n):
         b1 = 1 << v1
         for v2 in vlist(g.adj[v1]):
@@ -446,7 +436,7 @@ def _find_kmn(g: Graph, budget: _Budget) -> PatternMatch | None:
     if match is not None:
         return match
     full = g.full_mask
-    for z in _ordered_connected_subsets(g):
+    for z in connected_subsets(g):
         if popcount(z) < 2 or z == full:
             continue
         budget.spend()

@@ -7,6 +7,7 @@ a two-block family (variants D and D*) whose parameters pass an explicit
 test.  Connected chordal graphs are decided by diameter at most 3, which is
 cross-checked against the existence of a dominating clique.  Cycles and
 graphs with a universal vertex are members; anything else is left undecided.
+Every family is recognized from its structure, with no isomorphism search.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import permutations
 
-from .canon import are_isomorphic
 from .graph import (
     Graph,
     InputError,
@@ -28,7 +28,6 @@ from .graph import (
     is_tree,
     iter_bits,
     popcount,
-    vlist,
     vset,
 )
 from .graph6 import to_graph6
@@ -54,17 +53,15 @@ class FamilyClassification:
     params: dict | None = None
     reason: str = ""
 
-    def to_json(self, g: Graph | None = None) -> dict:
-        out: dict = {"schemaVersion": 1}
-        if g is not None:
-            out["graph6"] = to_graph6(g)
-        out.update(
-            verdict=self.verdict,
-            family=self.family,
-            params=self.params,
-            reason=self.reason,
-        )
-        return out
+    def to_json(self, g: Graph) -> dict:
+        return {
+            "schemaVersion": 1,
+            "graph6": to_graph6(g),
+            "verdict": self.verdict,
+            "family": self.family,
+            "params": self.params,
+            "reason": self.reason,
+        }
 
 
 def is_double_star(g: Graph) -> bool:
@@ -89,16 +86,28 @@ def double_star_leaves(g: Graph) -> tuple[int, int]:
 def book_pages(g: Graph) -> int | None:
     """Number of pages if g is a book: two adjacent hubs plus page pairs,
     each page an edge with one endpoint on each hub.  The one-page book is
-    the 4-cycle.  Returns None otherwise."""
+    the 4-cycle.  Returns None otherwise.
+
+    Past the degree sequence, g is the m-page book exactly when the hubs u
+    and v are adjacent, their page neighborhoods N(u) - v and N(v) - u are
+    disjoint, and every page vertex of u has a neighbor among those of v:
+    the degrees then force a perfect matching between the two."""
     if g.n < 4 or g.n % 2:
         return None
     m = (g.n - 2) // 2
-    degrees = sorted(g.degree(v) for v in range(g.n))
     if m == 1:
         return 1 if is_cycle_graph(g) else None
+    degrees = sorted(g.degree(v) for v in range(g.n))
     if degrees != [2] * (2 * m) + [m + 1, m + 1]:
         return None
-    return m if are_isomorphic(g, Graph.book(m)) else None
+    u, v = (x for x in range(g.n) if g.degree(x) == m + 1)
+    pages_u = g.adj[u] & ~(1 << v)
+    pages_v = g.adj[v] & ~(1 << u)
+    if not g.adj[u] >> v & 1 or pages_u & pages_v:
+        return None
+    if any(not g.adj[x] & pages_v for x in iter_bits(pages_u)):
+        return None
+    return m
 
 
 def build_d_family(variant: str, m: int, n: int, p: int, q: int) -> Graph:

@@ -147,9 +147,6 @@ class Graph:
     def degree(self, v: int) -> int:
         return popcount(self.adj[v])
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return bool(self.adj[u] >> v & 1)
-
     def neighbors(self, v: int) -> list[int]:
         return vlist(self.adj[v])
 
@@ -352,46 +349,28 @@ def is_chordal(g: Graph) -> tuple[bool, tuple[int, ...] | None]:
     return True, order
 
 
-def all_cliques(g: Graph, max_size: int) -> list[int]:
-    """Every nonempty clique of size <= max_size, as masks sorted by member list."""
-    found: list[int] = []
-
-    def grow(clique: int, last: int, size: int) -> None:
-        found.append(clique)
-        if size == max_size:
-            return
-        for v in range(last + 1, g.n):
-            if g.adj[v] & clique == clique:
-                grow(clique | 1 << v, v, size + 1)
-
-    for v in range(g.n):
-        grow(1 << v, v, 1)
-    found.sort(key=vlist)
-    return found
-
-
-def dominating_cliques(g: Graph, max_size: int) -> list[int]:
-    """All cliques K with |K| <= max_size whose closed neighborhood covers V."""
-    if max_size < 1:
-        raise InputError("max_size must be at least 1")
-    full = g.full_mask
-    out = []
-    for clique in all_cliques(g, max_size):
-        covered = clique
-        for v in iter_bits(clique):
-            covered |= g.adj[v]
-        if covered == full:
-            out.append(clique)
-    return out
-
-
 def has_dominating_clique(g: Graph) -> bool:
-    return bool(dominating_cliques(g, max(g.n, 1)))
+    """True when some clique of the chordal graph g has V(G) as its closed
+    neighborhood.  A clique dominates only if a maximal clique containing it
+    does, and each maximal clique of a chordal graph is some v together with
+    its neighbors later in a perfect elimination order (Fulkerson and Gross,
+    1965), so the n cliques of that form decide it."""
+    chordal, order = is_chordal(g)
+    if not chordal:
+        raise InputError("the dominating-clique test requires a chordal graph")
+    later = g.full_mask
+    for v in order:
+        later ^= 1 << v
+        clique = (1 << v) | (g.adj[v] & later)
+        if clique | neighborhood_mask(g, clique) == g.full_mask:
+            return True
+    return False
 
 
 @lru_cache(maxsize=4096)
 def connected_subsets(g: Graph) -> tuple[int, ...]:
-    """All nonempty connected vertex subsets, ascending as bitmask integers.
+    """All nonempty connected vertex subsets, smallest first and ascending as
+    bitmask integers within a size: the order the pattern searches scan.
 
     Intended for pattern searches on small graphs; the result is cached per
     graph because those searches probe many patterns over the same instance.
@@ -399,7 +378,7 @@ def connected_subsets(g: Graph) -> tuple[int, ...]:
     if g.n > 20:
         raise InputError("connected subset enumeration is limited to 20 vertices")
     out = [m for m in range(1, 1 << g.n) if is_connected_mask(g, m)]
-    return tuple(out)
+    return tuple(sorted(out, key=lambda m: (popcount(m), m)))
 
 
 def _check_mask(g: Graph, mask: int) -> None:

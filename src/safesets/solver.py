@@ -6,8 +6,10 @@ in increasing popcount order (lexicographic within a size) against an
 incumbent weight bound, entirely in scaled integer arithmetic, and reports
 exact rational optima:
 
-  * safe_number: lightest safe set (the whole vertex set is vacuously safe);
-  * connected_safe_number: lightest safe set inducing a connected subgraph.
+  * the safe number: lightest safe set (the whole vertex set is vacuously
+    safe);
+  * the connected safe number: lightest safe set inducing a connected
+    subgraph.
 
 Each mask has one record: the touching (C, D) component-mask pairs,
 flattened to (C0, D0, C1, D1, ...), and whether G[mask] is connected.
@@ -53,12 +55,12 @@ Accept = Callable[[int, int, bool], int]
 
 @dataclass(frozen=True)
 class SafeSetSolution:
-    """Optimum weight plus the lexicographically least optimal set."""
+    """Optimum weight, the lexicographically least optimal set, and every
+    optimal set in lexicographic order."""
 
     optimum: Fraction
     witness_set: int
-    connected_required: bool
-    all_optima: tuple[int, ...] | None = None
+    all_optima: tuple[int, ...]
 
 
 def _check_instance(g: Graph, w: Sequence) -> WeightFn:
@@ -166,14 +168,12 @@ def is_safe_set(g: Graph, w: Sequence, s: int) -> bool:
     return _holds(pairs, _bit_summer(ints))
 
 
-def solve_pair(
-    g: Graph, w: Sequence, *, collect_all: bool = False
-) -> tuple[SafeSetSolution, SafeSetSolution]:
+def solve_pair(g: Graph, w: Sequence) -> tuple[SafeSetSolution, SafeSetSolution]:
     """Solve both variants in one subset scan.
 
     Returns (unrestricted, connected-required) solutions.  Ties on the witness
-    break toward the lexicographically least vertex list, and all_optima (when
-    requested) lists every optimal set in that order.
+    break toward the lexicographically least vertex list, and all_optima lists
+    every optimal set in that order.
     """
     weights = _check_instance(g, w)
     ints, denom = scaled_integers(weights)
@@ -199,30 +199,16 @@ def solve_pair(
     scan = _scan_plan if g.n <= _PLAN_MAX_ORDER else _scan_lazy
     scan(g, ints, accept)
 
-    def finish(best: int, optima: list[int], connected: bool) -> SafeSetSolution:
-        ordered = sorted(optima, key=vlist)
-        return SafeSetSolution(
-            optimum=Fraction(best, denom),
-            witness_set=ordered[0],
-            connected_required=connected,
-            all_optima=tuple(ordered) if collect_all else None,
-        )
+    def finish(best: int, optima: list[int]) -> SafeSetSolution:
+        # Vertex ids are below 256, so bytes keys sort like the vertex lists
+        # at a quarter of their size; the keys set the peak memory when tens
+        # of thousands of sets tie.
+        ordered = tuple(sorted(optima, key=lambda m: bytes(vlist(m))))
+        return SafeSetSolution(Fraction(best, denom), ordered[0], ordered)
 
-    return finish(s_best, s_optima, False), finish(cs_best, cs_optima, True)
-
-
-def safe_number(g: Graph, w: Sequence, *, collect_all: bool = False) -> SafeSetSolution:
-    return solve_pair(g, w, collect_all=collect_all)[0]
-
-
-def connected_safe_number(
-    g: Graph, w: Sequence, *, collect_all: bool = False
-) -> SafeSetSolution:
-    return solve_pair(g, w, collect_all=collect_all)[1]
+    return finish(s_best, s_optima), finish(cs_best, cs_optima)
 
 
 def all_minimum_safe_sets(g: Graph, w: Sequence) -> list[int]:
-    """Every safe set of weight exactly safe_number(g, w), lexicographic."""
-    sol = safe_number(g, w, collect_all=True)
-    assert sol.all_optima is not None
-    return list(sol.all_optima)
+    """Every safe set of minimum weight, lexicographic."""
+    return list(solve_pair(g, w)[0].all_optima)

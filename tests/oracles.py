@@ -87,3 +87,19 @@ def distances(n, edges):
                 if dist[i][k] + dist[k][j] < dist[i][j]:
                     dist[i][j] = dist[i][k] + dist[k][j]
     return dist
+
+
+def dominating_cliques(n, edges, max_size=None):
+    """Every clique of at most max_size vertices (default: any size) whose
+    closed neighborhood is the whole vertex set, as sorted tuples in
+    lexicographic order, by trying every vertex subset."""
+    adj = adjacency(n, edges)
+    limit = n if max_size is None else max_size
+    found = []
+    for k in range(1, limit + 1):
+        for sub in itertools.combinations(range(n), k):
+            if any(v not in adj[u] for u, v in itertools.combinations(sub, 2)):
+                continue
+            if set(sub).union(*(adj[v] for v in sub)) == set(range(n)):
+                found.append(sub)
+    return sorted(found)

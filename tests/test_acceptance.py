@@ -178,7 +178,7 @@ def test_09_solver_agrees_with_naive_oracle():
                     edges.add((u, v))
         g = Graph.from_edges(n, sorted(edges))
         w = tuple(Fraction(rng.randint(1, 2 * n + 1)) for _ in range(n))
-        sol, csol = solve_pair(g, w, collect_all=True)
+        sol, csol = solve_pair(g, w)
         best, best_c, minima, minima_c = oracles.solve(n, g.edges(), w)
         assert sol.optimum == best
         assert csol.optimum == best_c

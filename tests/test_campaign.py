@@ -158,6 +158,40 @@ class TestCampaignRuns:
         serial = run_characterization_campaign(**kwargs, jobs=1)
         assert report_to_json(report) == report_to_json(serial)
 
+    def test_study_exception_is_a_failure_record(self, monkeypatch):
+        import safesets.campaign as campaign_module
+
+        lines = ["Cl", "DhC", to_graph6(Graph.cycle(6))]
+        kwargs = dict(samples_per_member=2, seed=0, input_graphs=lines, jobs=1)
+        clean = run_characterization_campaign(**kwargs)
+
+        def flaky(g):
+            if to_graph6(g) == "DhC":
+                raise RuntimeError("boom")
+            return classify(g)
+
+        monkeypatch.setattr(campaign_module, "classify", flaky)
+        report = run_characterization_campaign(**kwargs)
+        assert len(report["records"]) == 3
+        assert report["failures"] == [
+            {"graph6": "DhC", "kind": "internal-error", "detail": "RuntimeError: boom"}]
+        broken = {r["graph6"]: r for r in report["records"]}["DhC"]
+        assert broken == {"graph6": "DhC", "order": 5, "sweeps": [], "verdict": None,
+                          "family": None, "params": None, "reason": "internal-error"}
+        kept = [r for r in report["records"] if r["graph6"] != "DhC"]
+        assert kept == [r for r in clean["records"] if r["graph6"] != "DhC"]
+
+    def test_study_input_error_propagates(self, monkeypatch):
+        import safesets.campaign as campaign_module
+
+        def refuse(g):
+            raise InputError("refused")
+
+        monkeypatch.setattr(campaign_module, "classify", refuse)
+        with pytest.raises(InputError, match="refused"):
+            run_characterization_campaign(
+                samples_per_member=2, seed=0, input_graphs=["Cl"], jobs=1)
+
     def test_large_order_warns(self, monkeypatch):
         import safesets.campaign as campaign_module
         monkeypatch.setattr(campaign_module, "enumerate_connected_graphs",

@@ -4,6 +4,8 @@ import json
 import pytest
 
 from safesets.cli import main
+from safesets.graph import Graph
+from safesets.graph6 import to_graph6
 
 
 def run(capsys, *argv):
@@ -95,6 +97,12 @@ class TestRecognize:
         code, obj = run_json(capsys, "recognize", "--graph6", "IheA@GUAo")
         assert code == 0
         assert obj["verdict"] == "UNDECIDED"
+
+    def test_complete_62(self, capsys):
+        code, obj = run_json(capsys, "recognize", "--graph6",
+                             to_graph6(Graph.complete(62)))
+        assert code == 0
+        assert obj["reason"] == "dominating-clique"
 
 
 class TestWitnessAndVerify:

@@ -86,7 +86,6 @@ class TestBeta:
         q = beta(g, vset([0, 3]))
         assert [vlist(b) for b in q.bags] == [[0], [3], [1, 2], [4, 5]]
         assert are_isomorphic(q.quotient, Graph.cycle(4))
-        assert q.bag_of == (0, 2, 2, 1, 3, 3)
 
     def test_connected_s_collapses(self):
         g = Graph.path(5)
@@ -111,9 +110,6 @@ class TestBeta:
         outside = components(g, g.full_mask ^ s)
         assert len(q.bags) == len(inside) + len(outside)
         assert sum(q.in_s) == len(inside)
-        # bag_of is consistent with bags
-        for i, b in enumerate(q.bags):
-            assert all(q.bag_of[v] == i for v in vlist(b))
 
 
 class TestLiftWeights:

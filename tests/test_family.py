@@ -1,7 +1,11 @@
+import hashlib
 import itertools
+import json
 
 import pytest
 
+from oracles import dominating_cliques
+from safesets.canon import are_isomorphic
 from safesets.enumerate import enumerate_connected_graphs
 from safesets.family import (
     BOOK,
@@ -30,7 +34,6 @@ from safesets.graph import (
     InputError,
     bipartition,
     diameter,
-    dominating_cliques,
     is_cycle_graph,
     vlist,
 )
@@ -78,6 +81,32 @@ class TestBooks:
         assert book_pages(Graph.complete_bipartite(2, 3)) is None
         assert book_pages(Graph.cycle(6)) is None
         assert book_pages(Graph.path(4)) is None
+
+    def test_matches_isomorphism_oracle(self):
+        # B2-B4 and every degree-preserving double-edge swap of them
+        def swaps(g):
+            edges = g.edges()
+            for (a, b), (c, d) in itertools.combinations(edges, 2):
+                if len({a, b, c, d}) < 4:
+                    continue
+                rest = set(edges) - {(a, b), (c, d)}
+                for e, f in (((a, c), (b, d)), ((a, d), (b, c))):
+                    new = {tuple(sorted(e)), tuple(sorted(f))}
+                    if not new & rest:
+                        yield Graph.from_edges(g.n, sorted(rest | new))
+
+        graphs = [h for m in (2, 3, 4) for h in (Graph.book(m), *swaps(Graph.book(m)))]
+        books = 0
+        for g in graphs:
+            m = (g.n - 2) // 2
+            expected = m if are_isomorphic(g, Graph.book(m)) else None
+            assert book_pages(g) == expected, g.edges()
+            books += expected is not None
+        assert (len(graphs), books) == (101, 22)
+
+    def test_large_book(self):
+        c = classify(Graph.book(30))
+        assert (c.verdict, c.family, c.params) == (MEMBER, BOOK, {"pages": 30})
 
 
 class TestDFamilyConstruction:
@@ -219,6 +248,18 @@ class TestClassify:
         c = classify(petersen())
         assert (c.verdict, c.reason) == (UNDECIDED, "outside-decided-families")
         assert classify(Graph.complete(4)).reason == "dominating-clique"
+        c = classify(Graph.complete(62))
+        assert (c.verdict, c.reason) == (MEMBER, "dominating-clique")
+
+    def test_report_bytes_pinned(self):
+        # every classification of the 996 connected graphs of order <= 7
+        digest = hashlib.sha256()
+        for order in range(1, 8):
+            for g in enumerate_connected_graphs(order):
+                line = json.dumps(classify(g).to_json(g), sort_keys=True) + "\n"
+                digest.update(line.encode())
+        assert digest.hexdigest() == (
+            "bd12194246326f2ca45464b4c4cf991acf345033f2ffa0226821eeb16fe0ee43")
 
     def test_trees_member_iff_double_star(self):
         for order in range(1, 8):
@@ -251,7 +292,7 @@ class TestMemberStructure:
 
     def test_cycle_or_dominating_edge(self):
         for g in self._members():
-            assert is_cycle_graph(g) or dominating_cliques(g, 2)
+            assert is_cycle_graph(g) or dominating_cliques(g.n, g.edges(), 2)
 
     def test_no_twin_degree_two_vertices(self):
         for g in self._members():

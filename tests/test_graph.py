@@ -2,9 +2,10 @@ import networkx as nx
 import pytest
 from hypothesis import given, settings
 
-from oracles import components_of, distances, adjacency
+from oracles import components_of, distances, adjacency, dominating_cliques
 from conftest import arbitrary_graphs, connected_graphs
 
+from safesets.enumerate import enumerate_connected_graphs
 from safesets.graph import (
     Graph,
     MAX_ORDER,
@@ -14,7 +15,6 @@ from safesets.graph import (
     components,
     connected_subsets,
     diameter,
-    dominating_cliques,
     edge_set_between,
     has_dominating_clique,
     is_chordal,
@@ -39,7 +39,7 @@ def to_nx(g: Graph) -> nx.Graph:
 class TestConstruction:
     def test_from_edges(self):
         g = Graph.from_edges(3, [(0, 1), (1, 2)])
-        assert g.degree(1) == 2 and g.has_edge(0, 1) and not g.has_edge(0, 2)
+        assert g.degree(1) == 2 and g.edges() == [(0, 1), (1, 2)]
 
     def test_rejects_self_loop(self):
         with pytest.raises(InputError):
@@ -188,18 +188,33 @@ class TestPredicates:
 class TestCliques:
     def test_star_center(self):
         star = Graph.star(4)
-        assert dominating_cliques(star, max_size=1) == [vset([0])]
+        assert dominating_cliques(star.n, star.edges(), max_size=1) == [(0,)]
 
     def test_p4_pairs(self):
-        assert dominating_cliques(Graph.path(4), max_size=2) == [vset([1, 2])]
+        p4 = Graph.path(4)
+        assert dominating_cliques(p4.n, p4.edges(), max_size=2) == [(1, 2)]
 
     def test_c6_none(self):
-        assert dominating_cliques(Graph.cycle(6), max_size=3) == []
+        c6 = Graph.cycle(6)
+        assert dominating_cliques(c6.n, c6.edges(), max_size=3) == []
         assert diameter(Graph.cycle(6)) == 3
 
     def test_p5_has_none(self):
         assert not has_dominating_clique(Graph.path(5))
         assert has_dominating_clique(Graph.path(4))
+
+    def test_matches_oracle_on_chordal_graphs(self):
+        checked = 0
+        for order in range(1, 8):
+            for g in enumerate_connected_graphs(order, "chordal"):
+                expected = bool(dominating_cliques(g.n, g.edges()))
+                assert has_dominating_clique(g) == expected, g.edges()
+                checked += 1
+        assert checked == 354
+
+    def test_requires_chordal(self):
+        with pytest.raises(InputError, match="chordal"):
+            has_dominating_clique(Graph.cycle(5))
 
 
 class TestConnectedSubsets:
@@ -211,6 +226,7 @@ class TestConnectedSubsets:
     def test_exactly_the_connected_subsets(self, g):
         subs = connected_subsets(g)
         assert len(set(subs)) == len(subs)
+        assert list(subs) == sorted(subs, key=lambda m: (popcount(m), m))
         listed = set(subs)
         adj = adjacency(g.n, g.edges())
         for mask in range(1, 1 << g.n):

@@ -9,13 +9,7 @@ import oracles
 from conftest import connected_graphs, weight_lists
 
 from safesets.graph import Graph, InputError, vlist, vset
-from safesets.solver import (
-    all_minimum_safe_sets,
-    connected_safe_number,
-    is_safe_set,
-    safe_number,
-    solve_pair,
-)
+from safesets.solver import all_minimum_safe_sets, is_safe_set, solve_pair
 
 
 class TestIsSafeSet:
@@ -46,15 +40,14 @@ class TestIsSafeSet:
 class TestFrozenExamples:
     def test_k23_ones(self):
         g = Graph.complete_bipartite(2, 3)
-        s = safe_number(g, [1] * 5)
-        cs = connected_safe_number(g, [1] * 5)
+        s, cs = solve_pair(g, [1] * 5)
         assert s.optimum == 2
         assert cs.optimum == 3
         assert vlist(s.witness_set) == [0, 1]
 
     def test_c4_unit_all_minima(self):
         g = Graph.cycle(4)
-        sol, csol = solve_pair(g, [1, 1, 1, 1], collect_all=True)
+        sol, csol = solve_pair(g, [1, 1, 1, 1])
         assert sol.optimum == csol.optimum == 2
         # every 2-subset is safe: adjacent ones are connected, opposite
         # corners split the cycle into two singletons of weight 1
@@ -64,7 +57,7 @@ class TestFrozenExamples:
             [0, 1], [0, 3], [1, 2], [2, 3]]
 
     def test_single_vertex(self):
-        sol = safe_number(Graph(1, (0,)), [5])
+        sol = solve_pair(Graph(1, (0,)), [5])[0]
         assert sol.optimum == 5
         assert vlist(sol.witness_set) == [0]
 
@@ -72,14 +65,14 @@ class TestFrozenExamples:
         # weights (a+1, a+1, 1, a, a) at a=2: the tie makes {1, 2} safe,
         # so both variants meet at 4 and the gap construction fails
         g = Graph.path(5)
-        sol, csol = solve_pair(g, [3, 3, 1, 2, 2], collect_all=True)
+        sol, csol = solve_pair(g, [3, 3, 1, 2, 2])
         assert sol.optimum == csol.optimum == 4
         assert [vlist(m) for m in sol.all_optima] == [[1, 2]]
 
     def test_p5_alpha4_gap_open(self):
         # same shape at a=4: {1, 3} beats every connected safe set by 1
         g = Graph.path(5)
-        sol, csol = solve_pair(g, [5, 5, 1, 4, 4], collect_all=True)
+        sol, csol = solve_pair(g, [5, 5, 1, 4, 4])
         assert sol.optimum == 9
         assert csol.optimum == 10
         assert [vlist(m) for m in sol.all_optima] == [[1, 3]]
@@ -88,39 +81,39 @@ class TestFrozenExamples:
         g = Graph.complete_bipartite(2, 3)
         w = [Fraction(1, 2), Fraction(1, 2), Fraction(1, 3),
              Fraction(1, 3), Fraction(1, 3)]
-        assert safe_number(g, w).optimum == 1
+        assert solve_pair(g, w)[0].optimum == 1
 
 
 class TestInstanceValidation:
     def test_disconnected_rejected(self):
         g = Graph.from_edges(4, [(0, 1), (2, 3)])
         with pytest.raises(InputError):
-            safe_number(g, [1, 1, 1, 1])
+            solve_pair(g, [1, 1, 1, 1])
 
     def test_wrong_length(self):
         with pytest.raises(InputError):
-            safe_number(Graph.path(3), [1, 1])
+            solve_pair(Graph.path(3), [1, 1])
 
     def test_negative_weight(self):
         with pytest.raises(InputError):
-            safe_number(Graph.path(3), [1, -1, 1])
+            solve_pair(Graph.path(3), [1, -1, 1])
 
     def test_zero_weight_allowed(self):
         # zero is a legal weight; a zero-weight vertex is free to take
-        sol = safe_number(Graph.path(3), [1, 0, 1])
+        sol = solve_pair(Graph.path(3), [1, 0, 1])[0]
         assert sol.optimum == 1
 
     def test_order_cap(self):
         g = Graph.path(25)
         with pytest.raises(InputError):
-            safe_number(g, [1] * 25)
+            solve_pair(g, [1] * 25)
 
 
 class TestProperties:
     @given(connected_graphs(max_order=7), st.data())
     def test_matches_oracle(self, g, data):
         w = data.draw(weight_lists(g.n))
-        sol, csol = solve_pair(g, w, collect_all=True)
+        sol, csol = solve_pair(g, w)
         best, best_c, minima, minima_c = oracles.solve(g.n, g.edges(), w)
         assert sol.optimum == best
         assert csol.optimum == best_c
@@ -135,7 +128,7 @@ class TestProperties:
     def test_matches_oracle_across_plan_cut(self, order, data):
         g = data.draw(connected_graphs(min_order=order, max_order=order))
         w = data.draw(weight_lists(g.n))
-        sol, csol = solve_pair(g, w, collect_all=True)
+        sol, csol = solve_pair(g, w)
         best, best_c, minima, minima_c = oracles.solve(g.n, g.edges(), w)
         assert sol.optimum == best
         assert csol.optimum == best_c
@@ -159,8 +152,8 @@ class TestProperties:
            st.integers(min_value=2, max_value=7))
     def test_scaling_invariance(self, g, data, k):
         w = data.draw(weight_lists(g.n))
-        sol = safe_number(g, w)
-        scaled = safe_number(g, [Fraction(k) * x for x in w])
+        sol = solve_pair(g, w)[0]
+        scaled = solve_pair(g, [Fraction(k) * x for x in w])[0]
         assert scaled.optimum == k * sol.optimum
         assert scaled.witness_set == sol.witness_set
 
@@ -172,7 +165,7 @@ class TestProperties:
             assert is_safe_set(g, w, m)
             total = sum((x for v, x in enumerate(w) if m >> v & 1),
                         Fraction(0))
-            assert total == safe_number(g, w).optimum
+            assert total == solve_pair(g, w)[0].optimum
 
 
 @functools.lru_cache(maxsize=1)
@@ -213,12 +206,11 @@ class TestStrictGapStructure:
                 assert len(components(g, g.full_mask ^ m)) >= 2
 
     def test_dominating_clique_straddled(self):
-        from safesets.graph import components, dominating_cliques, \
-            neighborhood_mask
+        from safesets.graph import components, neighborhood_mask
 
         seen = 0
         for g, w in strict_gap_instances():
-            cliques = dominating_cliques(g, g.n)
+            cliques = [vset(k) for k in oracles.dominating_cliques(g.n, g.edges())]
             if not cliques:
                 continue
             seen += 1
