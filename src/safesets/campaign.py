@@ -45,7 +45,7 @@ from .graph import (
     vlist,
 )
 from .graph6 import parse_graph6, to_graph6
-from .solver import all_minimum_safe_sets, solve_pair
+from .solver import MAX_SOLVER_ORDER, all_minimum_safe_sets, solve_pair
 from .weights import format_rational
 from .witness import certify_non_membership, verify_certificate
 
@@ -203,12 +203,20 @@ def _check_beta_chain(g, graph6, cert, failures) -> dict:
 
 
 def _campaign_graphs(max_order: int, sweep_filter: str, input_graphs) -> list[str]:
+    """The graph6 of every graph to study.  An input graph above the solver's
+    order limit is refused before any graph is studied."""
     if input_graphs is not None:
         out = []
         for line in input_graphs:
             line = line.strip()
             if line:
-                out.append(to_graph6(parse_graph6(line)))
+                g = parse_graph6(line)
+                if g.n > MAX_SOLVER_ORDER:
+                    raise InputError(
+                        f"input graph {to_graph6(g)} has order {g.n}, "
+                        f"above the solver limit {MAX_SOLVER_ORDER}"
+                    )
+                out.append(to_graph6(g))
         return out
     names = SWEEP_NAMES if sweep_filter == "all" else (sweep_filter,)
     out = []

@@ -39,7 +39,9 @@ def _edge_mask(g: Graph, position: tuple[int, ...]) -> int:
     return mask
 
 
-@lru_cache(maxsize=200_000)
+# maxsize=0 stores nothing (no caller repeats a graph) but keeps cache_info()
+# as a call counter.
+@lru_cache(maxsize=0)
 def canonical_form(g: Graph) -> tuple[int, int]:
     """(n, canonical edge mask); equal forms mean isomorphic graphs."""
     n = g.n

@@ -54,6 +54,8 @@ def _read_json_arg(inline: str | None, path: str | None, what: str):
         raise InputError(
             f"invalid JSON in {source} at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
+    except ValueError as exc:  # an integer past Python's digit limit
+        raise InputError(f"invalid JSON in {source}: {exc}") from exc
 
 
 def _print_json(obj) -> None:

@@ -37,7 +37,6 @@ from .graph import (
     bipartition,
     components,
     connected_subsets,
-    edge_set_between,
     is_connected,
     is_connected_mask,
     iter_bits,
@@ -188,9 +187,9 @@ def validate_match(g: Graph, match: PatternMatch) -> None:
                 raise InputError(f"bag V{idx + 1} must induce a connected subgraph")
 
     if name == "H2":
-        if len(edge_set_between(g, bags[0], bags[1])) != 1:
+        if _edge_count(g, bags[0], bags[1]) != 1:
             raise InputError("H2 needs exactly one edge between V1 and V2")
-        if len(edge_set_between(g, bags[1], bags[2])) != 1:
+        if _edge_count(g, bags[1], bags[2]) != 1:
             raise InputError("H2 needs exactly one edge between V2 and V3")
 
     if name == "H3":
@@ -198,20 +197,9 @@ def validate_match(g: Graph, match: PatternMatch) -> None:
             raise InputError("H3 needs singleton bags V1 and V2")
         if not is_connected_mask(g, bags[2]):
             raise InputError("H3 needs a connected bag V3")
-        v4 = match.params.get("v4")
-        if v4 is None or v4 < 0 or not bags[3] >> v4 & 1:
-            raise InputError("H3 match must pin a vertex v4 inside V4")
-        if not g.adj[v4] & bags[2]:
-            raise InputError("v4 must have a neighbor in V3")
-        others = bags[3] ^ (1 << v4)
-        if others and neighborhood_mask(g, others) & bags[4]:
-            raise InputError("every V4-V5 edge must be incident to v4")
-        d = match.params.get("d")
-        if d is None or d not in components(g, bags[4]):
-            raise InputError("H3 match must pin a component of G[V5]")
-        reach = neighborhood_mask(g, d)
-        if not reach & bags[1] or not reach & (1 << v4):
-            raise InputError("the pinned component must touch both V2 and v4")
+        problem = _h3_pin_problem(g, bags, match.params.get("v4"), match.params.get("d"))
+        if problem is not None:
+            raise InputError(problem)
 
     if name == "KMN":
         m = match.params.get("m")
@@ -329,7 +317,7 @@ def _find_h2(g: Graph, budget: _Budget) -> PatternMatch | None:
         singles, extras = [], []
         ok = True
         for comp in components(g, rest):
-            eb = sum(popcount(g.adj[v] & b) for v in iter_bits(comp))
+            eb = _edge_count(g, comp, b)
             hits_d = bool(neighborhood_mask(g, comp) & d)
             if eb >= 2 or (eb == 0 and not hits_d):
                 ok = False
@@ -396,22 +384,33 @@ def _find_h3(g: Graph, budget: _Budget) -> PatternMatch | None:
 
 
 def _pin_h3(g: Graph, bags: tuple[int, ...]) -> PatternMatch | None:
-    """Choose v4 and the V5 component the weight construction will use."""
-    v3_bag, v4_bag, v5_bag = bags[2], bags[3], bags[4]
-    v2_bag = bags[1]
-    comps5 = components(g, v5_bag)
-    for v4 in vlist(v4_bag):
-        if not g.adj[v4] & v3_bag:
-            continue
-        others = v4_bag ^ (1 << v4)
-        if others and neighborhood_mask(g, others) & v5_bag:
-            continue
-        if not g.adj[v4] & v5_bag:
-            continue
+    """Choose v4 and the V5 component the weight construction will use: the
+    first pair, v4 ascending and then the components of G[V5] in order, that
+    breaks no pin rule."""
+    comps5 = components(g, bags[4])
+    for v4 in vlist(bags[3]):
         for d in comps5:
-            reach = neighborhood_mask(g, d)
-            if reach & v2_bag and reach & (1 << v4):
+            if _h3_pin_problem(g, bags, v4, d) is None:
                 return PatternMatch("H3", bags, {"v4": v4, "d": d})
+    return None
+
+
+def _h3_pin_problem(g: Graph, bags: tuple[int, ...], v4, d) -> str | None:
+    """The first pin rule that v4 and d break, or None.  v4 lies in V4 with a
+    neighbor in V3 and carries every V4-V5 edge; d is a component of G[V5]
+    touching both V2 and v4."""
+    if v4 is None or v4 < 0 or not bags[3] >> v4 & 1:
+        return "H3 match must pin a vertex v4 inside V4"
+    if not g.adj[v4] & bags[2]:
+        return "v4 must have a neighbor in V3"
+    others = bags[3] ^ (1 << v4)
+    if others and neighborhood_mask(g, others) & bags[4]:
+        return "every V4-V5 edge must be incident to v4"
+    if d is None or d not in components(g, bags[4]):
+        return "H3 match must pin a component of G[V5]"
+    reach = neighborhood_mask(g, d)
+    if not reach & bags[1] or not reach & (1 << v4):
+        return "the pinned component must touch both V2 and v4"
     return None
 
 
@@ -458,6 +457,11 @@ def _find_kmn(g: Graph, budget: _Budget) -> PatternMatch | None:
             "KMN", bags, {"m": m, "n": n, "z_index": x_bags.index(z)}
         )
     return None
+
+
+def _edge_count(g: Graph, a: int, b: int) -> int:
+    """The number of edges from ``a`` into the disjoint set ``b``."""
+    return sum(popcount(g.adj[v] & b) for v in iter_bits(a))
 
 
 def _union(masks) -> int:

@@ -218,55 +218,22 @@ def is_connected(g: Graph) -> bool:
     return is_connected_mask(g, g.full_mask)
 
 
-def edge_set_between(g: Graph, a: int, b: int) -> list[tuple[int, int]]:
-    """All edges with one endpoint in ``a`` and the other in ``b``.
-
-    The masks must be disjoint; pairs come out as (u in a, v in b), sorted.
-    """
-    _check_mask(g, a)
-    _check_mask(g, b)
-    if a & b:
-        raise InputError("edge_set_between requires disjoint vertex sets")
-    out = []
-    for u in iter_bits(a):
-        for v in iter_bits(g.adj[u] & b):
-            out.append((u, v))
-    out.sort()
-    return out
-
-
-def bfs_distances(g: Graph, source: int) -> list[int]:
-    """Hop distances from ``source``; unreachable vertices get -1."""
-    dist = [-1] * g.n
-    dist[source] = 0
-    frontier = 1 << source
-    seen = frontier
-    d = 0
-    while frontier:
-        d += 1
-        grown = 0
-        for v in iter_bits(frontier):
-            grown |= g.adj[v]
-        frontier = grown & ~seen
-        seen |= frontier
-        for v in iter_bits(frontier):
-            dist[v] = d
-    return dist
-
-
-def eccentricity(g: Graph, v: int) -> int:
-    dist = bfs_distances(g, v)
-    if -1 in dist:
-        raise InputError("eccentricity requires a connected graph")
-    return max(dist)
-
-
 def diameter(g: Graph) -> int:
+    """The largest number of breadth-first layers past any start vertex."""
     if g.n == 0:
         raise InputError("diameter of the empty graph is undefined")
     if not is_connected(g):
         raise InputError("diameter requires a connected graph")
-    return max(eccentricity(g, v) for v in range(g.n))
+    best = 0
+    for v in range(g.n):
+        seen = frontier = 1 << v
+        depth = -1
+        while frontier:
+            depth += 1
+            frontier = neighborhood_mask(g, frontier) & ~seen
+            seen |= frontier
+        best = max(best, depth)
+    return best
 
 
 def bipartition(g: Graph) -> tuple[int, int] | None:
@@ -367,13 +334,14 @@ def has_dominating_clique(g: Graph) -> bool:
     return False
 
 
-@lru_cache(maxsize=4096)
+@lru_cache(maxsize=1)
 def connected_subsets(g: Graph) -> tuple[int, ...]:
     """All nonempty connected vertex subsets, smallest first and ascending as
     bitmask integers within a size: the order the pattern searches scan.
 
-    Intended for pattern searches on small graphs; the result is cached per
-    graph because those searches probe many patterns over the same instance.
+    Intended for pattern searches on small graphs.  Only the last graph's
+    subsets are kept: a certification runs its pattern searches on one graph
+    before it moves to the next.
     """
     if g.n > 20:
         raise InputError("connected subset enumeration is limited to 20 vertices")

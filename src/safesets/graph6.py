@@ -12,7 +12,6 @@ from .graph import Graph, InputError
 
 _HEADER = ">>graph6<<"
 _OFFSET = 63
-_MAX_N = 62
 
 
 def _triangle_pairs(n: int):
@@ -60,8 +59,6 @@ def parse_graph6(text: str) -> Graph:
 
 def to_graph6(g: Graph) -> str:
     """Encode a graph as a short-form graph6 string."""
-    if g.n > _MAX_N:
-        raise InputError("graph6 short form is limited to 62 vertices")
     out = [g.n + _OFFSET]
     acc = 0
     filled = 0

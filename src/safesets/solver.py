@@ -15,10 +15,11 @@ Each mask has one record: the touching (C, D) component-mask pairs,
 flattened to (C0, D0, C1, D1, ...), and whether G[mask] is connected.
 
   * Up to order 12 the records of every mask, in scan order, form a per-graph
-    plan that is cached across solves (weight sampling and the alpha ladder
-    solve one graph many times).  Each solve fills a subset-sum table
-    ws[m] = ws[m ^ top] + w[top] (top: the highest bit of m) once, in 2^n
-    steps, so the bound and every safety test are table lookups.
+    plan.  The plan of the graph in use is kept across solves (weight
+    sampling and the alpha ladder solve one graph many times).  Each solve
+    fills a subset-sum table ws[m] = ws[m ^ top] + w[top] (top: the highest
+    bit of m) once, in 2^n steps, so the bound and every safety test are
+    table lookups.
   * Above order 12 a plan of 2^n records would dominate peak memory, so the
     scan builds each record on demand with the same helper and sums a pair's
     weights over its bits.
@@ -100,7 +101,9 @@ def _subsets(n: int) -> Iterator[tuple[int, ...]]:
     return chain.from_iterable(combinations(range(n), k) for k in range(1, n + 1))
 
 
-@lru_cache(maxsize=64)
+# One graph: every caller (member sampling, the alpha ladder, the beta chain,
+# verify_certificate) finishes its solves of a graph before the next graph.
+@lru_cache(maxsize=1)
 def _plan(g: Graph) -> tuple[tuple[int, tuple[int, ...], bool], ...]:
     """Every mask of a graph of order <= 12 with its record, in scan order."""
     bits = [1 << v for v in range(g.n)]

@@ -37,7 +37,7 @@ def parse_rational(value: Fraction | int | str) -> Fraction:
         raise InputError(f'malformed rational {value!r}: expected "p" or "p/q"')
     try:
         return Fraction(value.strip())
-    except ZeroDivisionError as exc:
+    except (ValueError, ZeroDivisionError) as exc:  # q = 0, or too many digits
         raise InputError(f"malformed rational {value!r}: {exc}") from exc
 
 

@@ -192,6 +192,18 @@ class TestCampaignRuns:
             run_characterization_campaign(
                 samples_per_member=2, seed=0, input_graphs=["Cl"], jobs=1)
 
+    def test_input_above_solver_limit_refused_up_front(self, monkeypatch):
+        import safesets.campaign as campaign_module
+
+        studied = []
+        monkeypatch.setattr(campaign_module, "study_graph",
+                            lambda *args: studied.append(args))
+        k30 = to_graph6(Graph.complete(30))
+        with pytest.raises(InputError, match=f"input graph {k30} has order 30"):
+            run_characterization_campaign(
+                samples_per_member=2, seed=0, input_graphs=["Cl", k30], jobs=1)
+        assert studied == []
+
     def test_large_order_warns(self, monkeypatch):
         import safesets.campaign as campaign_module
         monkeypatch.setattr(campaign_module, "enumerate_connected_graphs",

@@ -34,6 +34,14 @@ class TestCanonicalForm:
         assert canonical_form(k33) != canonical_form(prism)
         assert not are_isomorphic(k33, prism)
 
+    def test_stores_nothing_but_counts_calls(self):
+        # cache_info() is the call counter that benchmark traces read
+        before = canonical_form.cache_info().misses
+        canonical_form(Graph.path(4))
+        canonical_form(Graph.path(4))
+        info = canonical_form.cache_info()
+        assert (info.misses - before, info.hits, info.currsize) == (2, 0, 0)
+
 
 class TestAreIsomorphic:
     @given(arbitrary_graphs(max_order=8), st.randoms(use_true_random=False))

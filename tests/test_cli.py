@@ -1,7 +1,11 @@
 import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from safesets.cli import main
 from safesets.graph import Graph
@@ -206,6 +210,16 @@ class TestCampaign:
         assert code == 2
         assert "between 1 and 8" in err
 
+    def test_input_above_solver_limit(self, capsys, tmp_path):
+        graphs = tmp_path / "graphs.g6"
+        graphs.write_text(f"Cl\n{to_graph6(Graph.complete(30))}\n")
+        code, out, err = run(capsys, "campaign", "--input", str(graphs),
+                             "--samples", "2")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: input graph ") and err.count("\n") == 1
+        assert "order 30, above the solver limit 24" in err
+
     def test_zero_jobs(self, capsys):
         code, _, err = run(capsys, "campaign", "--max-order", "3",
                            "--jobs", "0")
@@ -262,6 +276,61 @@ class TestMalformedShapes:
         assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1
         assert "Traceback" not in err
+
+
+_ATOMS = (st.none() | st.booleans() | st.integers() | st.floats()
+          | st.text(max_size=6) | st.from_regex(r" ?-?\d{1,3}(/\d{1,2})?", fullmatch=True))
+_JSON = st.recursive(
+    _ATOMS,
+    lambda inner: (st.lists(inner, max_size=5)
+                   | st.dictionaries(st.text(max_size=6), inner, max_size=3)),
+    max_leaves=8,
+)
+_CERT_FIELDS = ("schemaVersion", "graph6", "pattern", "params", "weights", "s",
+                "cs", "minimumSafeSet", "match")
+
+
+def _run_in_process(argv, stdin=""):
+    """main() with captured streams; the exit code must be 0, 1 or 2, and
+    exit 2 must write exactly one error line and nothing to stdout."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err), \
+            mock.patch("sys.stdin", io.StringIO(stdin)):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("error:")
+        assert err.getvalue().count("\n") == 1
+    else:
+        json.loads(out.getvalue())
+    return code
+
+
+class TestFuzz:
+    """Generated JSON through the in-process CLI: never a traceback."""
+
+    @settings(max_examples=100)
+    @given(st.sampled_from(("--weights",) + _CERT_FIELDS),
+           _JSON | st.lists(_ATOMS, min_size=4, max_size=5))
+    def test_generated_json(self, target, value):
+        # solve's weights on C4, or one field of a valid KMN certificate;
+        # "--weights=" keeps a value such as -Infinity from reading as a flag
+        if target == "--weights":
+            _run_in_process(["solve", "--graph6", "Cl",
+                             "--weights=" + json.dumps(value)])
+        else:
+            _run_in_process(["verify-certificate"],
+                            _certificate(**{target: value}))
+
+    @pytest.mark.parametrize("argv,stdin", [
+        # integers past Python's 4300-digit conversion limit
+        (["solve", "--graph6", "Cl", "--weights=[" + "1" * 5000 + ", 1, 1, 1]"], ""),
+        (["solve", "--graph6", "Cl", "--weights", '["' + "1" * 5000 + '", 1, 1, 1]'], ""),
+        (["verify-certificate"], _certificate(s="1" * 5000)),
+    ], ids=["json-integer", "rational-string", "certificate-s"])
+    def test_huge_integers(self, argv, stdin):
+        assert _run_in_process(argv, stdin) == 2
 
 
 class TestArgparseErrors:

@@ -193,6 +193,48 @@ class TestValidateMatch:
         with pytest.raises(InputError):
             PatternMatch.from_json({"bags": [[0]]})
 
+    def test_h2_needs_one_edge_from_v1_to_v2(self):
+        # bags {a}, {b1, b2}, {c}, {d}, {e}: a meets both b1 and b2
+        a, b1, b2, c, d, e = range(6)
+        g = Graph.from_edges(6, [(a, b1), (a, b2), (b1, b2), (b2, c),
+                                 (c, d), (d, a), (d, e)])
+        bags = (vset([a]), vset([b1, b2]), vset([c]), vset([d]), vset([e]))
+        with pytest.raises(InputError,
+                           match="H2 needs exactly one edge between V1 and V2"):
+            validate_match(g, PatternMatch("H2", bags))
+
+    # V1={0}, V2={1}, V3={2}, V4={3, 4}, V5={5, 6}; v4=3 carries the V4-V5
+    # edge, and of the V5 components only {5} touches both V2 and v4.
+    H3_GRAPH = Graph.from_edges(7, [(0, 1), (1, 2), (1, 5), (1, 6), (0, 3),
+                                    (2, 3), (3, 5), (3, 4)])
+    H3_BAGS = (vset([0]), vset([1]), vset([2]), vset([3, 4]), vset([5, 6]))
+
+    def test_h3_pins(self):
+        validate_match(self.H3_GRAPH,
+                       PatternMatch("H3", self.H3_BAGS, {"v4": 3, "d": vset([5])}))
+        assert find_pattern(self.H3_GRAPH, "H3").params == {"v4": 3, "d": vset([5])}
+
+    @pytest.mark.parametrize("v4,d,message", [
+        (None, vset([5]), "must pin a vertex v4 inside V4"),
+        (0, vset([5]), "must pin a vertex v4 inside V4"),
+        # 4 breaks both v4 rules, and d={0} is no component of G[V5] either:
+        # the first rule wins
+        (4, vset([0]), "v4 must have a neighbor in V3"),
+        (3, None, r"must pin a component of G\[V5\]"),
+        (3, vset([5, 6]), r"must pin a component of G\[V5\]"),
+        (3, vset([6]), "the pinned component must touch both V2 and v4"),
+    ])
+    def test_h3_pin_rules_in_order(self, v4, d, message):
+        match = PatternMatch("H3", self.H3_BAGS, {"v4": v4, "d": d})
+        with pytest.raises(InputError, match=message):
+            validate_match(self.H3_GRAPH, match)
+
+    def test_h3_v4_carries_every_v4_v5_edge(self):
+        g = Graph.from_edges(7, [*self.H3_GRAPH.edges(), (2, 4)])
+        match = PatternMatch("H3", self.H3_BAGS, {"v4": 4, "d": vset([5])})
+        with pytest.raises(InputError, match="every V4-V5 edge must be incident to v4"):
+            validate_match(g, match)
+
 
 def relabel(g: Graph, perm: list[int]) -> Graph:
     return Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])

@@ -10,12 +10,10 @@ from safesets.graph import (
     Graph,
     MAX_ORDER,
     InputError,
-    bfs_distances,
     bipartition,
     components,
     connected_subsets,
     diameter,
-    edge_set_between,
     has_dominating_clique,
     is_chordal,
     is_connected,
@@ -95,27 +93,6 @@ class TestComponents:
         assert got == want
 
 
-class TestEdgeSetBetween:
-    def test_non_adjacent(self):
-        assert edge_set_between(Graph.cycle(4), vset([0]), vset([2])) == []
-
-    def test_c4_pair(self):
-        assert edge_set_between(Graph.cycle(4), vset([0]), vset([1, 3])) == [
-            (0, 1),
-            (0, 3),
-        ]
-
-    def test_p5_middle(self):
-        assert edge_set_between(Graph.path(5), vset([1]), vset([0, 2])) == [
-            (1, 0),
-            (1, 2),
-        ]
-
-    def test_overlap_rejected(self):
-        with pytest.raises(InputError):
-            edge_set_between(Graph.path(3), vset([0, 1]), vset([1, 2]))
-
-
 class TestDistances:
     def test_p5_diameter(self):
         assert diameter(Graph.path(5)) == 4
@@ -131,11 +108,8 @@ class TestDistances:
             diameter(Graph.from_edges(3, [(0, 1)]))
 
     @given(connected_graphs(max_order=7))
-    def test_bfs_matches_floyd_warshall(self, g):
-        want = distances(g.n, g.edges())
-        for v in range(g.n):
-            got = bfs_distances(g, v)
-            assert [got[u] for u in range(g.n)] == want[v]
+    def test_diameter_matches_floyd_warshall(self, g):
+        assert diameter(g) == max(map(max, distances(g.n, g.edges())))
 
 
 class TestPredicates:

@@ -7,8 +7,8 @@ import pytest
 
 from safesets.contraction import PatternMatch, find_pattern, validate_match
 from safesets.enumerate import enumerate_connected_graphs
-from safesets.graph import Graph, InputError, vlist, vset
-from safesets.solver import is_safe_set, solve_pair
+from safesets.graph import Graph, InputError, connected_subsets, vlist, vset
+from safesets.solver import _plan, is_safe_set, solve_pair
 from safesets.weights import make_weights
 from safesets.witness import (
     RANDOM_PATTERN,
@@ -276,6 +276,21 @@ class TestCertification:
             s_sol, cs_sol = solve_pair(g, cert.weights)
             assert (s_sol.optimum, cs_sol.optimum) == (cert.s, cert.cs)
             assert s_sol.optimum < cs_sol.optimum
+
+
+class TestMemoTraffic:
+    def test_one_graph_at_a_time(self):
+        # The plan and subset memos keep one graph.  Certifying and verifying
+        # P5 and then P6 (both through a pattern search) must miss once per
+        # graph: a second miss would mean a caller went back to a graph.
+        _plan.cache_clear()
+        connected_subsets.cache_clear()
+        for g in (Graph.path(5), Graph.path(6)):
+            cert = certify_non_membership(g, seed=0)
+            assert cert.pattern == "H1"
+            assert verify_certificate(cert.to_json()) == (True, [])
+        assert _plan.cache_info().misses == 2
+        assert connected_subsets.cache_info().misses == 2
 
 
 class TestVerifyCertificate:
