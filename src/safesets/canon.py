@@ -1,4 +1,5 @@
-"""Canonical forms for isomorphism testing and deduplication.
+"""Canonical forms for deduplication: two graphs are isomorphic exactly when
+their forms are equal.
 
 Individualization-refinement over color classes: refine by iterated neighbor
 color multisets, branch on every vertex of the first non-singleton class, and
@@ -76,10 +77,6 @@ def canonical_form(g: Graph) -> tuple[int, int]:
     descend((0,) * n)
     assert best is not None
     return (n, best)
-
-
-def are_isomorphic(g: Graph, h: Graph) -> bool:
-    return canonical_form(g) == canonical_form(h)
 
 
 def from_canonical_form(form: tuple[int, int]) -> Graph:

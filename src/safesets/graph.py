@@ -19,6 +19,7 @@ class InputError(ValueError):
 
 
 MAX_ORDER = 62  # graph6 short form limit; nothing here needs more
+MAX_SUBSET_ORDER = 20  # connected_subsets scans all 2^n vertex subsets
 
 
 def vset(vertices: Iterable[int]) -> int:
@@ -222,8 +223,6 @@ def diameter(g: Graph) -> int:
     """The largest number of breadth-first layers past any start vertex."""
     if g.n == 0:
         raise InputError("diameter of the empty graph is undefined")
-    if not is_connected(g):
-        raise InputError("diameter requires a connected graph")
     best = 0
     for v in range(g.n):
         seen = frontier = 1 << v
@@ -232,32 +231,34 @@ def diameter(g: Graph) -> int:
             depth += 1
             frontier = neighborhood_mask(g, frontier) & ~seen
             seen |= frontier
+        if seen != g.full_mask:
+            raise InputError("diameter requires a connected graph")
         best = max(best, depth)
     return best
 
 
 def bipartition(g: Graph) -> tuple[int, int] | None:
-    """Two-color a connected graph; returns (side of vertex 0, other side).
+    """Two-color a connected graph by breadth-first layers from vertex 0;
+    returns (even layers, odd layers), so the side of vertex 0 comes first.
 
-    Returns None when the graph contains an odd cycle.
+    Returns None when the graph contains an odd cycle, which shows as an edge
+    inside one layer: every other edge joins two consecutive layers.
     """
     if g.n == 0:
         raise InputError("bipartition of the empty graph is undefined")
-    if not is_connected(g):
+    sides = [0, 0]
+    seen = frontier = 1
+    parity = odd = 0
+    while frontier:
+        sides[parity] |= frontier
+        reach = neighborhood_mask(g, frontier)
+        odd |= reach & frontier
+        frontier = reach & ~seen
+        seen |= frontier
+        parity ^= 1
+    if seen != g.full_mask:
         raise InputError("bipartition requires a connected graph")
-    color = [-1] * g.n
-    color[0] = 0
-    queue = [0]
-    while queue:
-        u = queue.pop()
-        for v in iter_bits(g.adj[u]):
-            if color[v] == -1:
-                color[v] = color[u] ^ 1
-                queue.append(v)
-            elif color[v] == color[u]:
-                return None
-    side0 = vset(v for v in range(g.n) if color[v] == 0)
-    return side0, g.full_mask & ~side0
+    return None if odd else (sides[0], sides[1])
 
 
 def is_triangle_free(g: Graph) -> bool:
@@ -282,38 +283,26 @@ def is_tree(g: Graph) -> bool:
 
 
 def is_chordal(g: Graph) -> tuple[bool, tuple[int, ...] | None]:
-    """Chordality test via maximum cardinality search.
+    """Chordality test by simplicial elimination.
 
-    Returns (True, elimination_order) where eliminating vertices in the given
-    order always removes a vertex whose remaining neighbors form a clique, or
+    Repeatedly removes a remaining vertex whose remaining neighbors form a
+    clique; a graph is chordal exactly when this empties it (Fulkerson and
+    Gross, 1965).  Returns (True, elimination_order) in removal order, or
     (False, None).  Works on disconnected graphs too.
     """
-    n = g.n
-    if n == 0:
-        return True, ()
-    weight = [0] * n
-    placed = 0
-    order_rev = []  # filled from the back of a perfect elimination order
-    for _ in range(n):
-        best = -1
-        for v in range(n):
-            if not placed >> v & 1 and (best == -1 or weight[v] > weight[best]):
-                best = v
-        order_rev.append(best)
-        placed |= 1 << best
-        for u in iter_bits(g.adj[best] & ~placed):
-            weight[u] += 1
-    order = tuple(reversed(order_rev))
-    pos = {v: i for i, v in enumerate(order)}
-    for i, v in enumerate(order):
-        later = vset(u for u in iter_bits(g.adj[v]) if pos[u] > i)
-        if later == 0:
-            continue
-        parent = min(iter_bits(later), key=pos.__getitem__)
-        rest = later & ~(1 << parent)
-        if rest & ~g.adj[parent]:
+    adj = g.adj
+    left = g.full_mask
+    order = []
+    while left:
+        for v in iter_bits(left):
+            nbrs = adj[v] & left
+            if all(nbrs & ~adj[u] == 1 << u for u in iter_bits(nbrs)):
+                break
+        else:
             return False, None
-    return True, order
+        order.append(v)
+        left ^= 1 << v
+    return True, tuple(order)
 
 
 def has_dominating_clique(g: Graph) -> bool:
@@ -343,8 +332,10 @@ def connected_subsets(g: Graph) -> tuple[int, ...]:
     subsets are kept: a certification runs its pattern searches on one graph
     before it moves to the next.
     """
-    if g.n > 20:
-        raise InputError("connected subset enumeration is limited to 20 vertices")
+    if g.n > MAX_SUBSET_ORDER:
+        raise InputError(
+            f"connected subset enumeration is limited to {MAX_SUBSET_ORDER} vertices"
+        )
     out = [m for m in range(1, 1 << g.n) if is_connected_mask(g, m)]
     return tuple(sorted(out, key=lambda m: (popcount(m), m)))
 

@@ -23,6 +23,7 @@ from .contraction import (
     validate_match,
 )
 from .graph import (
+    MAX_SUBSET_ORDER,
     Graph,
     InputError,
     components,
@@ -34,7 +35,7 @@ from .graph import (
     vset,
 )
 from .graph6 import parse_graph6, to_graph6
-from .solver import MAX_SOLVER_ORDER, is_safe_set, solve_pair
+from .solver import is_safe_set, solve_pair
 from .weights import (
     WeightFn,
     format_rational,
@@ -316,8 +317,8 @@ def certify_non_membership(
     """
     if not is_connected(g):
         raise InputError("certification requires a connected graph")
-    if g.n > MAX_SOLVER_ORDER:
-        raise InputError(f"certification limited to order {MAX_SOLVER_ORDER}")
+    if g.n > MAX_SUBSET_ORDER:
+        raise InputError(f"certification limited to order {MAX_SUBSET_ORDER}")
 
     for match, params in _candidates(g, budget):
         try:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import arbitrary_graphs
 from safesets.cli import main
 from safesets.graph import Graph
 from safesets.graph6 import to_graph6
@@ -137,6 +138,12 @@ class TestWitnessAndVerify:
                              str(path))
         assert code == 1
         assert obj["ok"] is False and obj["problems"]
+
+    def test_witness_order_limit(self, capsys):
+        code, out, err = run(capsys, "witness", "--graph6",
+                             to_graph6(Graph.path(21)))
+        assert (code, out) == (2, "")
+        assert err == "error: certification limited to order 20\n"
 
     def test_malformed_certificate(self, capsys, tmp_path):
         path = tmp_path / "cert.json"
@@ -286,6 +293,10 @@ _JSON = st.recursive(
                    | st.dictionaries(st.text(max_size=6), inner, max_size=3)),
     max_leaves=8,
 )
+# graph6 strings of order 0-7, connected or not, and arbitrary bytes
+_GRAPH6 = (arbitrary_graphs(min_order=0, max_order=7).map(to_graph6)
+           | st.binary(max_size=12).map(lambda b: b.decode("latin-1")))
+_VERTICES = st.lists(st.integers(-1, 4), max_size=5)
 _CERT_FIELDS = ("schemaVersion", "graph6", "pattern", "params", "weights", "s",
                 "cs", "minimumSafeSet", "match")
 
@@ -308,7 +319,7 @@ def _run_in_process(argv, stdin=""):
 
 
 class TestFuzz:
-    """Generated JSON through the in-process CLI: never a traceback."""
+    """Generated input through the in-process CLI: never a traceback."""
 
     @settings(max_examples=100)
     @given(st.sampled_from(("--weights",) + _CERT_FIELDS),
@@ -322,6 +333,25 @@ class TestFuzz:
         else:
             _run_in_process(["verify-certificate"],
                             _certificate(**{target: value}))
+
+    @settings(max_examples=60)
+    @given(_GRAPH6)
+    def test_generated_graph6(self, text):
+        _run_in_process(["recognize", "--graph6=" + text])
+
+    @settings(max_examples=60)
+    @given(_JSON | st.fixed_dictionaries({}, optional={
+        "s": _VERTICES | _JSON,
+        "bags": st.lists(_VERTICES, max_size=5) | _JSON,
+    }))
+    def test_generated_contract_request(self, value):
+        _run_in_process(["contract", "--graph6", "Cl", "--json=" + json.dumps(value)])
+
+    @settings(max_examples=40)
+    @given(_GRAPH6, st.integers(0, 3), st.integers(0, 50))
+    def test_generated_witness(self, text, samples, budget):
+        _run_in_process(["witness", "--graph6=" + text, "--samples", str(samples),
+                         "--budget", str(budget)])
 
     @pytest.mark.parametrize("argv,stdin", [
         # integers past Python's 4300-digit conversion limit

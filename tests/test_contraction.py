@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from conftest import connected_graphs
 
-from safesets.canon import are_isomorphic
+from safesets.canon import canonical_form
 from safesets.contraction import (
     PATTERN_NAMES,
     PatternMatch,
@@ -38,8 +38,8 @@ class TestPatternGraphs:
             Graph.complete_bipartite(2, 3).adj
 
     def test_h3_is_k23(self):
-        assert are_isomorphic(pattern_graph("H3"),
-                              Graph.complete_bipartite(2, 3))
+        assert canonical_form(pattern_graph("H3")) == \
+            canonical_form(Graph.complete_bipartite(2, 3))
 
     def test_unknown_rejected(self):
         with pytest.raises(InputError):
@@ -79,19 +79,19 @@ class TestBeta:
         q = beta(g, vset([1, 3]))
         assert q.in_s == (True, True, False, False, False)
         assert [vlist(b) for b in q.bags] == [[1], [3], [0], [2], [4]]
-        assert are_isomorphic(q.quotient, Graph.path(5))
+        assert canonical_form(q.quotient) == canonical_form(Graph.path(5))
 
     def test_c6_opposite_pair(self):
         g = Graph.cycle(6)
         q = beta(g, vset([0, 3]))
         assert [vlist(b) for b in q.bags] == [[0], [3], [1, 2], [4, 5]]
-        assert are_isomorphic(q.quotient, Graph.cycle(4))
+        assert canonical_form(q.quotient) == canonical_form(Graph.cycle(4))
 
     def test_connected_s_collapses(self):
         g = Graph.path(5)
         q = beta(g, vset([1, 2]))
         assert q.in_s == (True, False, False)
-        assert are_isomorphic(q.quotient, Graph.path(3))
+        assert canonical_form(q.quotient) == canonical_form(Graph.path(3))
 
     def test_rejects_trivial_sets(self):
         g = Graph.path(3)

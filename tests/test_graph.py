@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import networkx as nx
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from safesets.enumerate import enumerate_connected_graphs
 from safesets.graph import (
     Graph,
     MAX_ORDER,
+    MAX_SUBSET_ORDER,
     InputError,
     bipartition,
     components,
@@ -104,7 +107,7 @@ class TestDistances:
         assert diameter(Graph.book(2)) == 3
 
     def test_disconnected_rejected(self):
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match="connected"):
             diameter(Graph.from_edges(3, [(0, 1)]))
 
     @given(connected_graphs(max_order=7))
@@ -118,6 +121,11 @@ class TestPredicates:
         assert is_chordal(Graph.path(6))[0]
         k4e = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])
         assert is_chordal(k4e)[0]
+        assert is_chordal(Graph(0, ())) == (True, ())
+        # disconnected: a triangle beside a path, then beside a 4-cycle
+        assert is_chordal(Graph.from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5)]))[0]
+        assert not is_chordal(Graph.from_edges(
+            7, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (5, 6), (3, 6)]))[0]
 
     @given(connected_graphs(max_order=8))
     def test_chordal_matches_networkx(self, g):
@@ -125,12 +133,27 @@ class TestPredicates:
         assert verdict == (g.n < 3 or nx.is_chordal(to_nx(g)))
         if verdict:
             assert sorted(peo) == list(range(g.n))
+            # a perfect elimination order: each vertex's later neighbors
+            # are pairwise adjacent
+            for i, v in enumerate(peo):
+                later = [u for u in peo[i + 1:] if g.adj[v] >> u & 1]
+                for a, b in combinations(later, 2):
+                    assert g.adj[a] >> b & 1, (peo, v, a, b)
 
     def test_bipartition_examples(self):
         assert bipartition(Graph.cycle(6)) == (vset([0, 2, 4]), vset([1, 3, 5]))
         assert bipartition(Graph.cycle(5)) is None
         sides = bipartition(Graph.complete_bipartite(2, 3))
         assert sorted(popcount(s) for s in sides) == [2, 3]
+
+    def test_bipartition_disconnected_rejected(self):
+        # refused even when vertex 0's component has an odd cycle
+        for g in (Graph.from_edges(3, [(0, 1)]),
+                  Graph.from_edges(4, [(0, 1), (1, 2), (0, 2)])):
+            with pytest.raises(InputError, match="connected"):
+                bipartition(g)
+        with pytest.raises(InputError, match="empty"):
+            bipartition(Graph(0, ()))
 
     @given(connected_graphs(max_order=8))
     def test_bipartition_matches_networkx(self, g):
@@ -206,6 +229,11 @@ class TestConnectedSubsets:
         for mask in range(1, 1 << g.n):
             is_conn = len(components_of(adj, vlist(mask))) == 1
             assert (mask in listed) == is_conn
+
+    def test_order_limit(self):
+        # refused before any of the 2^n subsets is scanned
+        with pytest.raises(InputError, match=f"limited to {MAX_SUBSET_ORDER} vertices"):
+            connected_subsets(Graph.path(MAX_SUBSET_ORDER + 1))
 
 
 class TestMaskHelpers:

@@ -7,8 +7,17 @@ import pytest
 
 from safesets.contraction import PatternMatch, find_pattern, validate_match
 from safesets.enumerate import enumerate_connected_graphs
-from safesets.graph import Graph, InputError, connected_subsets, vlist, vset
-from safesets.solver import _plan, is_safe_set, solve_pair
+from safesets.family import UNDECIDED, classify
+from safesets.graph import (
+    MAX_SUBSET_ORDER,
+    Graph,
+    InputError,
+    connected_subsets,
+    vlist,
+    vset,
+)
+from safesets.graph6 import parse_graph6
+from safesets.solver import MAX_SOLVER_ORDER, _plan, is_safe_set, solve_pair
 from safesets.weights import make_weights
 from safesets.witness import (
     RANDOM_PATTERN,
@@ -253,6 +262,27 @@ class TestCertification:
     def test_random_fallback_exhausts(self):
         got = certify_non_membership(Graph.path(5), budget=1, sample_count=0)
         assert got is None
+
+    def test_random_fallback_covers_a_pattern_miss(self):
+        # F{dzo is UNDECIDED, outside every sweep, and no pattern route
+        # certifies it; only the seeded random weights do.
+        g = parse_graph6("F{dzo")
+        assert classify(g).verdict == UNDECIDED
+        assert certify_non_membership(g, sample_count=0) is None
+        cert = certify_non_membership(g)
+        assert cert.pattern == RANDOM_PATTERN and cert.seed == 0
+        assert cert.s < cert.cs
+        assert verify_certificate(cert.to_json()) == (True, [])
+
+    def test_order_limit_is_the_subset_limit(self):
+        # the pattern searches enumerate connected subsets, so certification
+        # refuses above that limit even where the solver would go further
+        assert MAX_SUBSET_ORDER < MAX_SOLVER_ORDER
+        for g in (Graph.path(MAX_SUBSET_ORDER + 1),
+                  Graph.complete_bipartite(2, MAX_SOLVER_ORDER - 2)):
+            with pytest.raises(InputError, match=(
+                    f"^certification limited to order {MAX_SUBSET_ORDER}$")):
+                certify_non_membership(g)
 
     def test_route_walk_pin(self):
         # Every connected graph of order <= 6 without the random fallback:
