@@ -250,6 +250,8 @@ def run_characterization_campaign(
         )
     if jobs < 1:
         raise InputError("jobs must be at least 1")
+    if samples_per_member < 0:
+        raise InputError("samples per member must be nonnegative")
     if max_order > 7 and input_graphs is None:
         warnings.warn(LARGE_ORDER_WARNING, stacklevel=2)
 

@@ -48,35 +48,24 @@ def canonical_form(g: Graph) -> tuple[int, int]:
     n = g.n
     if n == 0:
         return (0, 0)
-    best: int | None = None
 
-    def descend(colors: tuple[int, ...]) -> None:
-        nonlocal best
-        colors = _refine(g, colors)
-        classes: dict[int, list[int]] = {}
-        for v, c in enumerate(colors):
-            classes.setdefault(c, []).append(v)
-        target = None
-        for c in sorted(classes):
-            if len(classes[c]) > 1:
-                target = classes[c]
-                break
-        if target is None:
-            position = tuple(colors)  # discrete: color ids are 0..n-1
-            mask = _edge_mask(g, position)
-            if best is None or mask < best:
-                best = mask
-            return
-        for v in target:
-            branched = tuple(
-                (colors[u], 0 if u == v else 1) for u in range(n)
-            )
-            ranks = {sig: i for i, sig in enumerate(sorted(set(branched)))}
-            descend(tuple(ranks[sig] for sig in branched))
+    def least_leaf(colors: tuple[int, ...]) -> int:
+        colors = _refine(g, colors)  # dense ranks 0..k-1
+        cell = min((c for c in colors if colors.count(c) > 1), default=None)
+        if cell is None:
+            return _edge_mask(g, colors)  # discrete: color ids are 0..n-1
+        # individualize v: it keeps rank ``cell``, its cellmates and every
+        # later class move up by one
+        return min(
+            least_leaf(tuple(
+                c + (c > cell or (c == cell and u != v))
+                for u, c in enumerate(colors)
+            ))
+            for v in range(n)
+            if colors[v] == cell
+        )
 
-    descend((0,) * n)
-    assert best is not None
-    return (n, best)
+    return (n, least_leaf((0,) * n))
 
 
 def from_canonical_form(form: tuple[int, int]) -> Graph:

@@ -29,6 +29,7 @@ Absence of a match within the search budget is reported as None and means
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Iterator
 
 from .graph import (
@@ -223,65 +224,45 @@ def validate_match(g: Graph, match: PatternMatch) -> None:
             raise InputError("z_index out of range")
 
 
-class _Exhausted(Exception):
-    pass
-
-
-class _Budget:
-    def __init__(self, limit: int):
-        self.left = limit
-
-    def spend(self) -> None:
-        self.left -= 1
-        if self.left < 0:
-            raise _Exhausted
-
-
 def find_pattern(g: Graph, pattern: str, budget: int = 10**6) -> PatternMatch | None:
     """Search for a contraction of g onto ``pattern``.
 
     Deterministic: candidate bags are scanned smallest-first in a fixed order,
-    and the first valid match is returned.  None means no match was found
-    within the budget; treat that as unknown.
+    each candidate costs one budget unit, and the first valid match within
+    the budget is returned.  None means no match was found within the budget;
+    treat that as unknown.
     """
     if pattern not in PATTERN_NAMES:
         raise InputError(f"unknown pattern {pattern!r}")
+    if budget < 0:
+        raise InputError("search budget must be nonnegative")
     if not is_connected(g):
         raise InputError("pattern search requires a connected graph")
-    searcher = {
-        "H1": _find_h1,
-        "H2": _find_h2,
-        "H3": _find_h3,
-        "KMN": _find_kmn,
-    }[pattern]
-    try:
-        match = searcher(g, _Budget(budget))
-    except _Exhausted:
-        return None
+    # Each searcher is a lazy stream: None per budget unit spent and a match
+    # wherever one is found, so a match after the whole budget is item
+    # budget + 1.
+    match = next(filter(None, islice(_SEARCHERS[pattern](g), budget + 1)), None)
     if match is not None:
         validate_match(g, match)
     return match
 
 
-def _split_pairs(g: Graph, budget: _Budget) -> Iterator[tuple[int, int, int]]:
+def _split_pairs(g: Graph) -> Iterator[tuple[int, int, int]]:
     """The (V2, V4) candidates shared by H1 and H2: disjoint, non-adjacent
-    connected bags b and d, smallest first, with the nonempty remainder
-    V(G) - b - d.  Every pair costs one budget unit, empty remainder or not."""
+    connected bags b and d, smallest first, with the remainder V(G) - b - d.
+    An empty remainder yields no match."""
     full = g.full_mask
     subs = connected_subsets(g)
     for b in subs:  # V2
         closed = b | neighborhood_mask(g, b)
         for d in subs:  # V4
-            if d & closed:
-                continue
-            budget.spend()
-            rest = full ^ b ^ d
-            if rest:
-                yield b, d, rest
+            if not d & closed:
+                yield b, d, full ^ b ^ d
 
 
-def _find_h1(g: Graph, budget: _Budget) -> PatternMatch | None:
-    for b, d, rest in _split_pairs(g, budget):
+def _find_h1(g: Graph) -> Iterator[PatternMatch | None]:
+    for b, d, rest in _split_pairs(g):
+        yield None
         touch_b, touch_d, touch_both = [], [], []
         ok = True
         for comp in components(g, rest):
@@ -308,12 +289,12 @@ def _find_h1(g: Graph, budget: _Budget) -> PatternMatch | None:
             v5 = _union(touch_d[:-1])
         else:
             continue
-        return PatternMatch("H1", (v1, b, v3, d, v5))
-    return None
+        yield PatternMatch("H1", (v1, b, v3, d, v5))
 
 
-def _find_h2(g: Graph, budget: _Budget) -> PatternMatch | None:
-    for b, d, rest in _split_pairs(g, budget):
+def _find_h2(g: Graph) -> Iterator[PatternMatch | None]:
+    for b, d, rest in _split_pairs(g):
+        yield None
         singles, extras = [], []
         ok = True
         for comp in components(g, rest):
@@ -345,11 +326,10 @@ def _find_h2(g: Graph, budget: _Budget) -> PatternMatch | None:
             if not pool:
                 continue
             v5 = _union(pool)
-            return PatternMatch("H2", (v1, b, v3, d, v5))
-    return None
+            yield PatternMatch("H2", (v1, b, v3, d, v5))
 
 
-def _find_h3(g: Graph, budget: _Budget) -> PatternMatch | None:
+def _find_h3(g: Graph) -> Iterator[PatternMatch | None]:
     full = g.full_mask
     subs = connected_subsets(g)
     for v1 in range(g.n):
@@ -367,7 +347,7 @@ def _find_h3(g: Graph, budget: _Budget) -> PatternMatch | None:
                 for v3_bag in subs:
                     if v3_bag & ~left:
                         continue
-                    budget.spend()
+                    yield None
                     r3 = neighborhood_mask(g, v3_bag)
                     if not r3 & b2 or r3 & b1 or not r3 & v4_bag:
                         continue
@@ -379,8 +359,7 @@ def _find_h3(g: Graph, budget: _Budget) -> PatternMatch | None:
                         continue
                     match = _pin_h3(g, (b1, b2, v3_bag, v4_bag, v5_bag))
                     if match is not None:
-                        return match
-    return None
+                        yield match
 
 
 def _pin_h3(g: Graph, bags: tuple[int, ...]) -> PatternMatch | None:
@@ -430,15 +409,15 @@ def complete_bipartite_match(g: Graph) -> PatternMatch | None:
     return PatternMatch("KMN", bags, {"m": mx, "n": my, "z_index": None})
 
 
-def _find_kmn(g: Graph, budget: _Budget) -> PatternMatch | None:
+def _find_kmn(g: Graph) -> Iterator[PatternMatch | None]:
     match = complete_bipartite_match(g)
     if match is not None:
-        return match
+        yield match
     full = g.full_mask
     for z in connected_subsets(g):
         if popcount(z) < 2 or z == full:
             continue
-        budget.spend()
+        yield None
         rest = full ^ z
         x_side = vset(v for v in iter_bits(rest) if not g.adj[v] & z)
         y_side = rest ^ x_side
@@ -453,10 +432,12 @@ def _find_kmn(g: Graph, budget: _Budget) -> PatternMatch | None:
             continue
         x_bags = sorted([z] + [1 << v for v in vlist(x_side)], key=vlist)
         bags = tuple(x_bags) + tuple(1 << v for v in vlist(y_side))
-        return PatternMatch(
+        yield PatternMatch(
             "KMN", bags, {"m": m, "n": n, "z_index": x_bags.index(z)}
         )
-    return None
+
+
+_SEARCHERS = {"H1": _find_h1, "H2": _find_h2, "H3": _find_h3, "KMN": _find_kmn}
 
 
 def _edge_count(g: Graph, a: int, b: int) -> int:

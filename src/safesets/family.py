@@ -232,13 +232,13 @@ def all_d_representations(g: Graph) -> list[tuple[str, int, int, int, int]]:
     sides = bipartition(g)
     if sides is None:
         return []
+    # Each edge is read once, x on sides[0]: the reading from the other side
+    # normalizes to the same tuple.
     found = set()
-    for x in range(g.n):
-        a_side = sides[0] if (1 << x) & sides[0] else sides[1]
-        b_side = sides[1] if a_side == sides[0] else sides[0]
+    for x in iter_bits(sides[0]):
         for y in g.neighbors(x):
             for variant, x1, y1, x2, y2, pp, qq in _candidate_splits(
-                g, a_side, b_side, x, y
+                g, *sides, x, y
             ):
                 m, n = popcount(x1), popcount(y2)
                 if popcount(y1) != m + 1 or popcount(x2) != n + 1:

@@ -315,6 +315,8 @@ def certify_non_membership(
     H1, H2, H3, KMN with alpha doubling, then seeded random integer weights.
     Returns None when every route fails; that is not a membership proof.
     """
+    if budget < 0 or sample_count < 0:
+        raise InputError("search budget and sample count must be nonnegative")
     if not is_connected(g):
         raise InputError("certification requires a connected graph")
     if g.n > MAX_SUBSET_ORDER:

@@ -123,6 +123,10 @@ class TestCampaignRuns:
         with pytest.raises(InputError, match="jobs"):
             run_characterization_campaign(max_order=3, jobs=0)
 
+    def test_negative_samples_rejected(self):
+        with pytest.raises(InputError, match="samples per member"):
+            run_characterization_campaign(max_order=3, samples_per_member=-1)
+
     @pytest.mark.parametrize("jobs, cpus, graphs, workers", [
         (64, 4, 3, 3),     # capped by the number of graphs
         (64, 2, 3, 2),     # capped by the CPU count

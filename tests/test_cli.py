@@ -145,6 +145,15 @@ class TestWitnessAndVerify:
         assert (code, out) == (2, "")
         assert err == "error: certification limited to order 20\n"
 
+    @pytest.mark.parametrize("flags", [
+        ("--budget", "-3"), ("--samples", "-2"), ("--budget", "-3", "--samples", "-2"),
+    ])
+    def test_negative_budget_or_samples(self, capsys, flags):
+        code, out, err = run(capsys, "witness", "--graph6", "D]o", *flags)
+        assert (code, out) == (2, "")
+        assert err == ("error: search budget and sample count must be "
+                       "nonnegative\n")
+
     def test_malformed_certificate(self, capsys, tmp_path):
         path = tmp_path / "cert.json"
         path.write_text("{\"graph6\": \"Cl\"}")
@@ -232,6 +241,12 @@ class TestCampaign:
                            "--jobs", "0")
         assert code == 2
         assert "jobs must be at least 1" in err
+
+    def test_negative_samples(self, capsys):
+        code, out, err = run(capsys, "campaign", "--max-order", "3",
+                             "--samples", "-1")
+        assert (code, out) == (2, "")
+        assert err == "error: samples per member must be nonnegative\n"
 
 
 def _certificate(**changes) -> str:
@@ -348,7 +363,7 @@ class TestFuzz:
         _run_in_process(["contract", "--graph6", "Cl", "--json=" + json.dumps(value)])
 
     @settings(max_examples=40)
-    @given(_GRAPH6, st.integers(0, 3), st.integers(0, 50))
+    @given(_GRAPH6, st.integers(-1, 3), st.integers(-1, 50))
     def test_generated_witness(self, text, samples, budget):
         _run_in_process(["witness", "--graph6=" + text, "--samples", str(samples),
                          "--budget", str(budget)])

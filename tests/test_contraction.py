@@ -27,6 +27,13 @@ def banner() -> Graph:
     return Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 0), (3, 4)])
 
 
+def k42_blowup() -> Graph:
+    # K(4,2) with one vertex of the 4-side blown up into the path 3-4-5: not
+    # itself complete bipartite, so only the search over big bags finds it
+    return Graph.from_edges(8, [(u, v) for u in (0, 1, 2) for v in (6, 7)]
+                            + [(3, 4), (4, 5), (3, 6), (5, 7)])
+
+
 class TestPatternGraphs:
     def test_shapes(self):
         assert pattern_graph("H1").edges() == [(0, 1), (1, 2), (2, 3), (3, 4)]
@@ -151,8 +158,30 @@ class TestFindPattern:
         for name in PATTERN_NAMES:
             assert find_pattern(Graph.cycle(6), name) is None
 
-    def test_budget_exhaustion(self):
-        assert find_pattern(Graph.path(5), "H1", budget=1) is None
+    # the least budget at which each match appears
+    @pytest.mark.parametrize("g, name, least", [
+        (Graph.path(5), "H1", 7),
+        (Graph.path(7), "H1", 16),
+        (banner(), "H2", 3),
+        (Graph.complete_bipartite(2, 3), "H3", 37),
+        (Graph.complete_bipartite(2, 4), "KMN", 0),
+        (k42_blowup(), "KMN", 11),
+    ], ids=["P5-H1", "P7-H1", "banner-H2", "K23-H3", "K24-KMN", "K42blowup-KMN"])
+    def test_budget_exhaustion(self, g, name, least):
+        match = find_pattern(g, name)
+        assert match is not None
+        if least > 0:
+            assert find_pattern(g, name, budget=least - 1) is None
+        assert find_pattern(g, name, budget=least) == match
+
+    def test_k42_blowup_found_with_its_big_bag(self):
+        m = find_pattern(k42_blowup(), "KMN")
+        assert m.params == {"m": 4, "n": 2, "z_index": 3}
+        assert [vlist(b) for b in m.bags] == [[0], [1], [2], [3, 4, 5], [6], [7]]
+
+    def test_negative_budget_rejected(self):
+        with pytest.raises(InputError, match="budget must be nonnegative"):
+            find_pattern(Graph.complete_bipartite(2, 4), "KMN", budget=-1)
 
     def test_unknown_pattern(self):
         with pytest.raises(InputError):

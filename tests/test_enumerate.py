@@ -1,3 +1,5 @@
+import hashlib
+
 import networkx as nx
 import pytest
 
@@ -80,6 +82,16 @@ class TestAtlasAgreement:
             atlas[n].add(canonical_form(g))
         for order in range(1, 8):
             assert forms_of(enumerate_connected_graphs(order)) == atlas[order]
+
+    def test_canonical_labelling_pinned(self):
+        # The atlas check holds for any valid canonical labelling; this pins
+        # the one individualization-refinement picks: the forms themselves.
+        digest = hashlib.sha256()
+        for order in range(1, 8):
+            digest.update("".join(
+                f"{n} {mask}\n" for n, mask in enumerate_graph_forms(order)).encode())
+        assert digest.hexdigest() == (
+            "c2f3b5cb5fcf6b34e510780f45261b36b1ec827f5b4973f362431b851c3d5dfb")
 
 
 class TestValidation:

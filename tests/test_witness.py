@@ -274,6 +274,14 @@ class TestCertification:
         assert cert.s < cert.cs
         assert verify_certificate(cert.to_json()) == (True, [])
 
+    @pytest.mark.parametrize("kwargs", [
+        {"budget": -1}, {"budget": -3, "sample_count": -2}, {"sample_count": -1},
+    ])
+    def test_negative_budget_or_samples_rejected(self, kwargs):
+        # K(2,3) takes the constant route, which searches no pattern
+        with pytest.raises(InputError, match="must be nonnegative"):
+            certify_non_membership(Graph.complete_bipartite(2, 3), **kwargs)
+
     def test_order_limit_is_the_subset_limit(self):
         # the pattern searches enumerate connected subsets, so certification
         # refuses above that limit even where the solver would go further
